@@ -5,9 +5,9 @@ on real NumPy state: how long a checkpoint request blocks the training thread
 with the lazy asynchronous engine vs the synchronous baseline, a sweep of all
 four registry engines (``deepspeed``/``async``/``torchsnapshot``/
 ``datastates``) measuring the training-visible stall per iteration, the
-end-to-end save/restore throughput of the serializer, and the I/O fast path
-(offset-addressed parallel pwrites + mmap restore) against the legacy
-streaming/read paths.  The engine sweep is persisted as
+end-to-end save/restore throughput of the serializer, and the I/O path
+(offset-addressed parallel pwrites + mmap restore) with its layout, prefetch,
+tier-chain, CAS and reshape sweeps.  The engine sweep is persisted as
 ``benchmarks/results/BENCH_real_engines.json`` and the fast-path comparison
 as ``benchmarks/results/BENCH_io_fastpath.json`` so the perf trajectory is
 tracked across PRs.
@@ -220,7 +220,7 @@ def test_real_engines_sweep(benchmark, emit, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# I/O fast path: parallel pwrite flush vs streaming, mmap vs read restore
+# I/O path: parallel pwrite flush and mmap restore
 # ---------------------------------------------------------------------------
 
 def _fastpath_state(total_mb: int, tensors: int = 16, seed: int = 11):
@@ -259,24 +259,12 @@ def _staged_snapshot(pool, state, tag, shard="rank0"):
     return snapshot
 
 
-class _CopyChunkStore(FileStore):
-    """Seed-era streaming behaviour: every chunk is materialised as a heap
-    ``bytes`` copy before it is written (the `bytes(view[start:stop])` loop
-    this PR removed); benchmarked to track the zero-copy win over time."""
-
-    def write_shard(self, tag, shard_name, chunks):
-        return super().write_shard(
-            tag, shard_name, (bytes(chunk) for chunk in chunks))
-
-
-def _measure_flush(bench_dir, pool, state, mode, rounds):
+def _measure_flush(bench_dir, pool, state, rounds):
     best = float("inf")
     nbytes = 0
-    store_cls = _CopyChunkStore if mode == "copy_streaming" else FileStore
     for round_index in range(rounds):
-        store = store_cls(bench_dir / f"{mode}-{round_index}")
-        pipeline = FlushPipeline(store, pool,
-                                 parallel_shard_writes=(mode == "parallel"))
+        store = FileStore(bench_dir / f"parallel-{round_index}")
+        pipeline = FlushPipeline(store, pool)
         try:
             snapshot = _staged_snapshot(pool, state, tag=f"bench-{round_index}")
             start = time.perf_counter()
@@ -289,15 +277,13 @@ def _measure_flush(bench_dir, pool, state, mode, rounds):
     return best, nbytes
 
 
-def _measure_save_stall(tmp_path, state, parallel, shards_per_rank=1,
+def _measure_save_stall(tmp_path, state, shards_per_rank=1,
                         capture_streams=1, label=None, store=None):
     policy = CheckpointPolicy(host_buffer_size=2 * sum(a.nbytes for a in state.values()),
-                              parallel_shard_writes=parallel,
                               shards_per_rank=shards_per_rank,
                               capture_streams=capture_streams)
     if store is None:
-        mode = label or ("parallel" if parallel else "streaming")
-        store = FileStore(tmp_path / f"engine-{mode}")
+        store = FileStore(tmp_path / f"engine-{label or 'parallel'}")
     engine = DataStatesCheckpointEngine(store, policy=policy)
     try:
         start = time.perf_counter()
@@ -320,7 +306,7 @@ def _measure_shards_sweep(bench_dir, state, shards_values, rounds=2):
         best_stall = best_durable = float("inf")
         for round_index in range(rounds):
             stall, durable, store = _measure_save_stall(
-                bench_dir, state, parallel=True,
+                bench_dir, state,
                 shards_per_rank=shards, capture_streams=min(shards, 4),
                 label=f"shards{shards}-{round_index}")
             best_stall = min(best_stall, stall)
@@ -355,8 +341,7 @@ def _measure_tiered_drain_sweep(bench_dir, state, workers_values, rounds=2):
                                 keep_local_latest=1)
             try:
                 start = time.perf_counter()
-                stall, commit, _ = _measure_save_stall(
-                    bench_dir, state, parallel=True, store=store)
+                stall, commit, _ = _measure_save_stall(bench_dir, state, store=store)
                 store.wait_drained("stall", timeout=300.0)
                 drained = time.perf_counter() - start
                 bytes_drained = store.drain_metrics()["bytes_drained"]
@@ -386,8 +371,7 @@ def _measure_tier_chain_drain(bench_dir, state, rounds=2):
     from repro.io import TierChain, TierLevel
 
     total_bytes = sum(arr.nbytes for arr in state.values())
-    policy = CheckpointPolicy(host_buffer_size=2 * total_bytes,
-                              parallel_shard_writes=True)
+    policy = CheckpointPolicy(host_buffer_size=2 * total_bytes)
     best = {"commit_seconds": float("inf"), "drained_seconds": float("inf")}
     drain_wait_ms = 0.0
     for round_index in range(rounds):
@@ -495,10 +479,10 @@ def _measure_dedup_incremental(bench_dir, state, rounds=2):
     return best
 
 
-def _measure_restore(store, use_mmap, rounds):
+def _measure_restore(store, rounds):
     best = float("inf")
     for _ in range(rounds):
-        loader = CheckpointLoader(store, use_mmap=use_mmap)
+        loader = CheckpointLoader(store)
         start = time.perf_counter()
         states = loader.restore(RestoreSpec.full(tag="stall"))
         best = min(best, time.perf_counter() - start)
@@ -506,29 +490,25 @@ def _measure_restore(store, use_mmap, rounds):
 
 
 def _measure_prefetch_sweep(tmp_path, state, depths, rounds=3, shards_per_rank=8):
-    """Restore latency of ``load_all`` over a multi-shard checkpoint as the
-    prefetch pipeline's depth grows (0 = the serial fetch->validate->load
-    path; depth 1 is skipped — it takes the identical serial code path);
-    best of ``rounds`` per depth, on both the mmap and read paths."""
+    """Restore latency of an all-ranks restore over a multi-shard checkpoint
+    as the prefetch pipeline's depth grows (0 = auto mode; depth 1 is
+    skipped — it is the serial fetch->validate->load path auto mode starts
+    from); best of ``rounds`` per depth."""
     _stall, _durable, store = _measure_save_stall(
-        tmp_path, state, parallel=True, shards_per_rank=shards_per_rank,
+        tmp_path, state, shards_per_rank=shards_per_rank,
         capture_streams=4, label="prefetch")
     sweep = {}
     reference = None
     for depth in depths:
-        row = {}
-        for path_name, use_mmap in (("mmap", True), ("read", False)):
-            best = float("inf")
-            for _ in range(rounds):
-                loader = CheckpointLoader(store, use_mmap=use_mmap,
-                                          prefetch_depth=depth)
-                start = time.perf_counter()
-                states = loader.restore(RestoreSpec.full(tag="stall"))
-                best = min(best, time.perf_counter() - start)
-            row[f"{path_name}_seconds"] = best
-            if reference is None:
-                reference = states
-        sweep[str(depth)] = row
+        best = float("inf")
+        for _ in range(rounds):
+            loader = CheckpointLoader(store, prefetch_depth=depth)
+            start = time.perf_counter()
+            states = loader.restore(RestoreSpec.full(tag="stall"))
+            best = min(best, time.perf_counter() - start)
+        sweep[str(depth)] = {"mmap_seconds": best}
+        if reference is None:
+            reference = states
     np.testing.assert_array_equal(reference[0]["t1"], state["t1"])
     store.delete_checkpoint("stall")
     return sweep
@@ -581,8 +561,8 @@ def _measure_reshape_restore(bench_dir, state, rounds=3):
 
 
 def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
-    """Legacy streaming flush vs offset-addressed parallel pwrites, and
-    read-everything restore vs mmap restore; persisted as
+    """The offset-addressed parallel pwrite flush and the mmap restore, with
+    the layout/prefetch/tier/CAS/reshape sweeps; persisted as
     ``BENCH_io_fastpath.json`` for cross-PR tracking."""
     import shutil
 
@@ -595,31 +575,22 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
     bench_dir = _flush_bench_dir(tmp_path)
 
     def run():
-        flush = {}
-        nbytes = 0
-        for mode in ("copy_streaming", "streaming", "parallel"):
-            seconds, nbytes = _measure_flush(bench_dir, pool, state, mode, rounds)
-            flush[f"{mode}_seconds"] = seconds
-            flush[f"{mode}_mbps"] = nbytes / seconds / 1e6
-        flush["speedup_vs_streaming"] = (
-            flush["streaming_seconds"] / flush["parallel_seconds"])
-        flush["speedup_vs_copy_streaming"] = (
-            flush["copy_streaming_seconds"] / flush["parallel_seconds"])
+        seconds, nbytes = _measure_flush(bench_dir, pool, state, rounds)
+        flush = {"parallel_seconds": seconds,
+                 "parallel_mbps": nbytes / seconds / 1e6}
 
-        stall_stream, durable_stream, _ = _measure_save_stall(tmp_path, state, parallel=False)
-        stall_par, durable_par, engine_store = _measure_save_stall(tmp_path, state, parallel=True)
+        stall_par, durable_par, engine_store = _measure_save_stall(tmp_path, state)
 
-        read_s, read_states = _measure_restore(engine_store, use_mmap=False, rounds=rounds)
-        mmap_s, mmap_states = _measure_restore(engine_store, use_mmap=True, rounds=rounds)
-        np.testing.assert_array_equal(read_states[0]["t0"], state["t0"])
+        mmap_s, mmap_states = _measure_restore(engine_store, rounds=rounds)
+        np.testing.assert_array_equal(mmap_states[0]["t0"], state["t0"])
         np.testing.assert_array_equal(mmap_states[0]["t3"], state["t3"])
 
         # Multi-shard-per-rank layout: blocked/durable time as one rank's
         # state is spread over more shard files (one capture stream each).
         shards_sweep = _measure_shards_sweep(bench_dir, state, (1, 2, 4, 8))
 
-        # Restore-side prefetching: load_all latency over an 8-part shard-set
-        # as the fetch+validate stage's depth grows (0 = serial).
+        # Restore-side prefetching: all-ranks restore latency over an 8-part
+        # shard-set as the fetch+validate stage's depth grows (0 = auto).
         prefetch_sweep = _measure_prefetch_sweep(tmp_path, state, (0, 2, 4, 8))
 
         # Tiered store: fast-tier commit latency (compared against a plain
@@ -627,7 +598,7 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
         # plumbing, not the disk) and background drain completion time as
         # the drain worker pool grows.
         _, durable_file_bench, baseline_store = _measure_save_stall(
-            bench_dir, state, parallel=True, label="tiered-baseline")
+            bench_dir, state, label="tiered-baseline")
         baseline_store.delete_checkpoint("stall")
         drain_sweep = {
             "file_durable_seconds": durable_file_bench,
@@ -659,15 +630,10 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
             "reshape_restore": reshape_restore,
             "flush": flush,
             "restore": {
-                "read_seconds": read_s,
-                "read_mbps": nbytes / read_s / 1e6,
                 "mmap_seconds": mmap_s,
                 "mmap_mbps": nbytes / mmap_s / 1e6,
-                "speedup": read_s / mmap_s,
             },
             "save_stall": {
-                "streaming_seconds": stall_stream,
-                "streaming_durable_seconds": durable_stream,
                 "parallel_seconds": stall_par,
                 "parallel_durable_seconds": durable_par,
             },
@@ -687,24 +653,11 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
 
     flush, restore, stall = results["flush"], results["restore"], results["save_stall"]
     rows = [
-        {"path": "flush: seed copy-streaming", "MB/s": round(flush["copy_streaming_mbps"], 1),
-         "seconds": round(flush["copy_streaming_seconds"], 4)},
-        {"path": "flush: zero-copy streaming", "MB/s": round(flush["streaming_mbps"], 1),
-         "seconds": round(flush["streaming_seconds"], 4)},
         {"path": "flush: parallel pwrite", "MB/s": round(flush["parallel_mbps"], 1),
          "seconds": round(flush["parallel_seconds"], 4)},
-        {"path": "flush speedup (vs streaming)", "MB/s": "-",
-         "seconds": round(flush["speedup_vs_streaming"], 2)},
-        {"path": "flush speedup (vs seed copy)", "MB/s": "-",
-         "seconds": round(flush["speedup_vs_copy_streaming"], 2)},
-        {"path": "restore: read+validate", "MB/s": round(restore["read_mbps"], 1),
-         "seconds": round(restore["read_seconds"], 4)},
         {"path": "restore: mmap+validate", "MB/s": round(restore["mmap_mbps"], 1),
          "seconds": round(restore["mmap_seconds"], 4)},
-        {"path": "restore speedup", "MB/s": "-", "seconds": round(restore["speedup"], 2)},
-        {"path": "save() stall (streaming)", "MB/s": "-",
-         "seconds": round(stall["streaming_seconds"], 5)},
-        {"path": "save() stall (parallel)", "MB/s": "-",
+        {"path": "save() stall", "MB/s": "-",
          "seconds": round(stall["parallel_seconds"], 5)},
     ]
     sweep = results["shards_per_rank_sweep"]
@@ -717,7 +670,7 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
     prefetch = results["restore_prefetch_sweep"]
     for depth, row in sorted(prefetch.items(), key=lambda item: int(item[0])):
         rows.append({
-            "path": f"restore load_all prefetch={depth} (mmap)",
+            "path": f"restore all ranks prefetch={depth} (mmap)",
             "MB/s": round(results["shard_bytes"] / row["mmap_seconds"] / 1e6, 1),
             "seconds": round(row["mmap_seconds"], 4),
         })
@@ -765,11 +718,9 @@ def test_io_fastpath_benchmark(benchmark, emit, tmp_path):
         "seconds": round(reshape["reshaped_restore_seconds"], 4),
     })
     emit("io_fastpath", format_table(
-        rows, title=f"I/O fast path vs legacy ({results['shard_bytes'] / 1e6:.0f} MB shard, "
+        rows, title=f"I/O path ({results['shard_bytes'] / 1e6:.0f} MB shard, "
                     f"{results['cpu_count']} CPUs) [{json_path.name}]"))
-    # Identical bytes must land on disk regardless of write order; speedups
-    # scale with available cores (a 1-CPU container shows parity on flush).
-    assert flush["speedup_vs_streaming"] > 0.0 and restore["speedup"] > 0.0
+    assert flush["parallel_seconds"] > 0.0 and restore["mmap_seconds"] > 0.0
     # Multi-shard must be improving-or-flat: the best multi-shard durable time
     # may not be meaningfully slower than the single-shard layout.  The 2x
     # margin only exists to absorb shared-runner I/O swings (which the gate in

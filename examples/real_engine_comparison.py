@@ -11,7 +11,7 @@ under each engine selected from the registry —
                       allocated buffer, background flush;
 * ``torchsnapshot`` — chunked serialization with parallel writers, blocking
                       until the flush completes;
-* ``datastates``    — lazy asynchronous capture + streaming flush + async
+* ``datastates``    — lazy asynchronous capture + parallel pwrite flush + async
                       two-phase commit (the paper's contribution)
 
 — and the training-visible checkpoint stall is printed per engine.  The

@@ -138,44 +138,6 @@ class SimCheckpointEngine(abc.ABC):
     def _record(self, rank: int, category: str, start: float, end: float, label: str = "") -> None:
         self.trace.record_span(f"rank{rank}", category, start, end, label)
 
-    def _flush_to_pfs(self, rank: int, nbytes: int, stream_bandwidth: Optional[float] = None,
-                      new_file: bool = True, label: str = "") -> Event:
-        """Kick off a PFS write and return its completion event (also tracked).
-
-        With ``policy.shards_per_rank > 1`` the write is striped over that
-        many concurrent file streams (the multi-shard-per-rank layout: one
-        file per shard, each landing on its own OST).  Each stripe is capped
-        by the per-stream bandwidth, so striping raises a rank's flush
-        throughput until the PFS aggregate (fair-share) limit bites — at the
-        price of per-file metadata charged once per stripe.
-        """
-        done = self.env.event()
-        state = self.ranks[rank]
-        stripes = max(1, int(getattr(self.policy, "shards_per_rank", 1)))
-
-        def flusher():
-            start = self.env.now
-            if stripes == 1:
-                yield self.cluster.pfs.write(
-                    nbytes, stream_bandwidth=stream_bandwidth, new_file=new_file,
-                    tag=f"rank{rank}-flush",
-                )
-            else:
-                per_stripe = nbytes / stripes
-                yield self.env.all_of([
-                    self.cluster.pfs.write(
-                        per_stripe, stream_bandwidth=stream_bandwidth,
-                        new_file=new_file, tag=f"rank{rank}-flush-s{stripe}",
-                    )
-                    for stripe in range(stripes)
-                ])
-            self._record(rank, "flush", start, self.env.now, label)
-            done.succeed(nbytes)
-
-        self.env.process(flusher(), name=f"flush-r{rank}")
-        state.outstanding_flushes.append(done)
-        return done
-
     def describe(self) -> Dict[str, object]:
         """Engine description used by reports."""
         return {

@@ -561,6 +561,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from .restart import CheckpointLoader
 
     store = _open_store(args, args.workdir)
+    # Opening a tier chain resumes every drain its levels show unfinished
+    # (an in-memory level starts empty in each new process).  Join them
+    # before reading residency, so the column reports the settled state
+    # rather than a race with the drain threads.
+    close = getattr(store, "close", None)
+    if callable(close):
+        close()
     loader = CheckpointLoader(store)
     infos = loader.committed_checkpoints()
     if not infos:

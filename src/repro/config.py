@@ -199,8 +199,8 @@ class CheckpointPolicy:
     #: 4 in the paper's configuration; DataStates uses a single streaming
     #: flush thread per rank).
     flush_threads: int = 1
-    #: Chunk size used when streaming tensors (TorchSnapshot-style chunking
-    #: and DataStates streaming flushes).
+    #: Chunk size of the TorchSnapshot-style chunked writes and of the
+    #: whole-shard writes of the synchronous and asynchronous baselines.
     chunk_size: int = 64 * 1024 * 1024
     #: Multi-shard-per-rank layout: how many shard files one rank's state is
     #: spread across (greedy size-balanced binning).  ``1`` is the original
@@ -228,22 +228,10 @@ class CheckpointPolicy:
     #: Run the distributed commit protocol asynchronously (overlapping with
     #: training) instead of synchronously at the end of the checkpoint.
     async_consolidation: bool = True
-    #: Offset-addressed parallel shard writes: since the shard header fixes
-    #: every tensor's file offset up front, staged tensors are pwritten to
-    #: their final offsets by multiple workers, out of order, as each
-    #: device-to-host copy lands.  ``False`` selects the legacy streaming
-    #: path (one sequential writer per shard).
-    parallel_shard_writes: bool = True
-    #: Restore shards through a read-only mmap instead of reading the whole
-    #: file into a heap ``bytes`` object: checksums are validated by
-    #: streaming over the map and arrays are rebuilt straight out of it.
-    #: Ignored on stores with nothing to map (object stores), which fall
-    #: back to whole-object reads.
-    mmap_restore: bool = True
     #: Restore-side prefetch: how many shard parts the loader's bounded
     #: fetch + CRC-validate stage keeps in flight ahead of deserialization,
     #: overlapping I/O with reassembly across the shard-set (and across
-    #: ranks in ``load_all``).  ``0`` selects auto mode: the loader measures
+    #: ranks in an all-ranks restore).  ``0`` selects auto mode: the loader measures
     #: per-part fetch vs deserialize time and picks the depth from the
     #: overlap ratio; ``1`` is strictly serial fetch -> validate ->
     #: deserialize.

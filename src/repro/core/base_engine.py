@@ -36,9 +36,7 @@ extra call the paper adds):
     With no spec the engine restores its own shard of the latest committed
     checkpoint.  Routed through
     :class:`~repro.restart.CheckpointLoader.restore`, so every engine
-    shares one validated (size + CRC32, optionally mmap) restore path.
-    The legacy ``load(tag, shard_name)`` string form still works but emits
-    a ``DeprecationWarning``.
+    shares one validated (size + CRC32) restore path.
 
 ``list_checkpoints() / latest_checkpoint()``
     Discovery of committed checkpoints.
@@ -54,10 +52,9 @@ from __future__ import annotations
 import abc
 import dataclasses
 import threading
-import warnings
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
@@ -221,49 +218,36 @@ class CheckpointEngine(abc.ABC):
         """
 
     # ------------------------------------------------------------------ load
-    def load(self, spec: Union["RestoreSpec", str, None] = None,
-             shard_name: Optional[str] = None) -> Any:
+    def load(self, spec: Optional["RestoreSpec"] = None) -> Any:
         """Restore from a committed checkpoint per ``spec``.
 
         Every engine restores through the same
         :meth:`~repro.restart.CheckpointLoader.restore` path: shards are
-        validated against the manifest (size + CRC32), fetched through the
-        prefetching pipeline (``policy.prefetch_depth`` bounded workers) and,
-        with ``policy.mmap_restore`` on a store that can map, rebuilt
-        straight out of a read-only memory map.
+        opened through the store's ``open_shard_mmap`` (a read-only memory
+        map on a file store), validated against the manifest (size + CRC32)
+        and rebuilt straight out of that buffer, fetched through the
+        prefetching pipeline (``policy.prefetch_depth`` bounded workers).
 
         When the spec names no rank/shard selector the engine fills in its
         own: this rank's default shard, or — for a reshaping restore
         (``spec.target_topology``) — this rank's slice of the target layout.
         ``load()`` with no arguments restores the engine's shard of the
         latest committed checkpoint.
-
-        The legacy ``load(tag, shard_name)`` string form delegates here and
-        emits a ``DeprecationWarning``.
         """
         from ..restart import CheckpointLoader, RestoreSpec
 
-        if spec is None and shard_name is None:
-            resolved = RestoreSpec()
-        elif isinstance(spec, RestoreSpec):
-            if shard_name is not None:
-                raise CheckpointError(
-                    "pass the shard selector inside the RestoreSpec, not as "
-                    "a separate shard_name argument")
-            resolved = spec
-        else:
-            warnings.warn(
-                "engine.load(tag, shard_name) is deprecated; pass a "
-                "RestoreSpec, e.g. engine.load(RestoreSpec.of_shard(name, tag=tag))",
-                DeprecationWarning, stacklevel=2)
-            resolved = RestoreSpec(tag=spec, shard=shard_name)
+        resolved = RestoreSpec() if spec is None else spec
+        if not isinstance(resolved, RestoreSpec):
+            raise CheckpointError(
+                f"engine.load takes a RestoreSpec, got {type(spec).__name__}; "
+                "e.g. engine.load(RestoreSpec.of_shard(name, tag=tag))")
         if resolved.selects_everything:
             if resolved.target_topology is not None:
                 resolved = dataclasses.replace(resolved, rank=self.rank)
             else:
                 resolved = dataclasses.replace(
                     resolved, shard=self.default_shard_name())
-        loader = CheckpointLoader(self.store, use_mmap=self.policy.mmap_restore,
+        loader = CheckpointLoader(self.store,
                                   prefetch_depth=self.policy.prefetch_depth)
         return loader.restore(resolved)
 

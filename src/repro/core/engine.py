@@ -11,8 +11,8 @@ exact pipeline of §5.3:
 3. *capture* — copy tensor payloads into the pre-allocated pinned host pool
    on a dedicated copy stream, lazily overlapping the caller's next
    forward/backward work;
-4. *flush* — stream the shard file to storage as payloads arrive, releasing
-   pool space tensor by tensor;
+4. *flush* — pwrite each tensor at its final shard-file offset as its
+   payload arrives, releasing pool space tensor by tensor;
 5. *commit* — vote in the asynchronous two-phase commit; once every rank's
    shards are durable the coordinator publishes the manifest.
 
@@ -136,8 +136,6 @@ class DataStatesCheckpointEngine(CheckpointEngine):
             self.pool,
             rank=rank,
             flush_threads=max(self.policy.flush_threads, self.policy.capture_streams),
-            chunk_size=self.policy.chunk_size,
-            parallel_shard_writes=self.policy.parallel_shard_writes,
         )
         #: Outstanding (or failed) requests; successfully retired handles are
         #: pruned on the next save so a long run does not accumulate history.
@@ -214,8 +212,8 @@ class DataStatesCheckpointEngine(CheckpointEngine):
         flush_jobs = []
         if dirty:
             # Phase 3: lazy captures, dealt round-robin across the copy
-            # streams; phase 4: one streaming/parallel flush per part, so
-            # capture and flush overlap per shard.
+            # streams; phase 4: one flush per part, so capture and flush
+            # overlap per shard.
             indices = {part.name: index
                        for index, part in enumerate(plan.parts)}
             for stream_slot, part in enumerate(dirty):

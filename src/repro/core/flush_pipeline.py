@@ -1,29 +1,22 @@
-"""Streaming flush pipeline — host staging buffer to persistent storage.
+"""Flush pipeline — host staging buffer to persistent storage.
 
 Consumes the :class:`~repro.core.lazy_snapshot.SnapshotJob` staging queue and
-writes the shard file incrementally: the preamble (header + skeleton) goes
-out immediately, and each tensor's bytes are written as soon as its
-device-to-host copy lands in the pinned pool — flushing therefore overlaps
-both the remaining copies and the training computation (streamlined
-multi-level flushing, §5.1).  Pinned-pool space is released tensor by tensor
-as it is consumed, which is what lets the circular buffer admit the next
+writes each shard as its tensors arrive: the shard header fixes every
+tensor's file offset up front, so the preamble (header + skeleton) is written
+at offset 0 immediately and each staged tensor is dispatched to a pool of
+pwrite workers the moment its device-to-host copy lands in the pinned pool.
+Multiple workers write *one shard's tensors concurrently, out of order*,
+each at its final offset through the store's
+:meth:`~repro.io.ShardStore.create_shard_writer` — so flushing overlaps both
+the remaining copies and the training computation (streamlined multi-level
+flushing, §5.1).  Pinned-pool space is released tensor by tensor as each
+pwrite retires, which is what lets the circular buffer admit the next
 checkpoint.
 
-Two write paths exist, selected by ``parallel_shard_writes``:
-
-* **Streaming (legacy/fallback)** — one sequential writer drains the staging
-  queue front to back into :meth:`~repro.io.ShardStore.write_shard`.  Chunks are
-  zero-copy ``memoryview`` slices of the pinned pool; the whole-file CRC32 is
-  accumulated incrementally.
-
-* **Parallel offset-addressed (fast path)** — because the shard header fixes
-  every tensor's file offset up front, each staged tensor is dispatched to a
-  pool of pwrite workers the moment its device-to-host copy lands, and lands
-  at its final offset via :class:`~repro.io.ShardWriter` — multiple workers
-  write *one shard's tensors concurrently, out of order*.  Each worker
-  checksums its staged view; the whole-file CRC32 is folded from the
-  per-tensor CRCs with :func:`~repro.serialization.crc32_combine`, so
-  integrity validation at restart is byte-identical to the streaming path.
+Each worker checksums its staged view; the whole-file CRC32 is folded from
+the per-tensor CRCs with :func:`~repro.serialization.crc32_combine` (in
+file-offset order), so it equals a sequential CRC of the shard and restart
+validation is the same for every engine's shards.
 """
 
 from __future__ import annotations
@@ -31,10 +24,10 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from ..exceptions import CheckpointError
-from ..io import FlushTask, FlushWorkerPool, ShardStore, supports_shard_writer
+from ..io import FlushTask, FlushWorkerPool, ShardStore
 from ..logging_utils import get_logger
 from ..memory import PinnedHostPool
 from ..serialization import ShardRecord, crc32_combine, encode_preamble
@@ -42,15 +35,15 @@ from .lazy_snapshot import SnapshotJob
 
 logger = get_logger(__name__)
 
-#: Default number of concurrent pwrite workers for the parallel fast path.
+#: Default number of concurrent pwrite workers per pipeline.
 DEFAULT_WRITER_THREADS = 4
 
 
 class ParallelShardWrite:
     """Coordinates the concurrent offset-addressed write of ONE shard.
 
-    The shared machinery of every parallel write path — used by the
-    :class:`FlushPipeline` fast path (pinned-pool staged tensors arriving via
+    The shared machinery of every shard write — used by the
+    :class:`FlushPipeline` (pinned-pool staged tensors arriving via
     the snapshot queue) and by the TorchSnapshot-like engine (in-memory
     captured tensors): a pending-task latch, per-tensor CRC32 accumulation,
     first-error capture, and the fold of the whole-file checksum from the
@@ -209,7 +202,11 @@ class ShardFlushJob:
 
 
 class FlushPipeline:
-    """Background writer of snapshot jobs to a :class:`~repro.io.ShardStore`."""
+    """Background writer of snapshot jobs to a :class:`~repro.io.ShardStore`.
+
+    ``flush_threads`` workers each drive one shard's write; every shard's
+    tensors fan out to ``writer_threads`` pwrite workers.
+    """
 
     def __init__(
         self,
@@ -217,26 +214,17 @@ class FlushPipeline:
         pool: PinnedHostPool,
         rank: int = 0,
         flush_threads: int = 1,
-        chunk_size: int = 8 * 1024 * 1024,
-        parallel_shard_writes: bool = False,
         writer_threads: Optional[int] = None,
     ) -> None:
-        if chunk_size <= 0:
-            raise CheckpointError("chunk_size must be positive")
         self.store = store
         self.pool = pool
         self.rank = rank
-        self.chunk_size = chunk_size
         self.workers = FlushWorkerPool(num_workers=flush_threads, name=f"flush-r{rank}")
-        # Offset-addressed fast path needs a store that can hand out pwrite
-        # writers; plain stores (and test doubles) fall back to streaming.
-        self.parallel_shard_writes = bool(
-            parallel_shard_writes and supports_shard_writer(store)
-        )
-        self._pwriters: Optional[FlushWorkerPool] = None
-        if self.parallel_shard_writes:
-            count = writer_threads or max(flush_threads, DEFAULT_WRITER_THREADS)
-            self._pwriters = FlushWorkerPool(num_workers=count, name=f"pwrite-r{rank}")
+        count = writer_threads or max(flush_threads, DEFAULT_WRITER_THREADS)
+        self._pwriters = FlushWorkerPool(num_workers=count, name=f"pwrite-r{rank}")
+        #: Jobs not yet retired; each leaves as soon as it is done, so a
+        #: finished job (and the snapshot and state it references) is never
+        #: kept alive by the pipeline.
         self._jobs: List[ShardFlushJob] = []
         self._lock = threading.Lock()
 
@@ -264,6 +252,8 @@ class FlushPipeline:
                     job.error = exc
                     logger.error("post-flush callback failed for %s: %s", snapshot.shard_name, exc)
             job.done.set()
+            with self._lock:
+                self._jobs.remove(job)
 
         self.workers.submit(FlushTask(run=run, on_done=on_done,
                                       description=f"{snapshot.tag}/{snapshot.shard_name}"))
@@ -282,56 +272,11 @@ class FlushPipeline:
     def shutdown(self, wait: bool = True) -> None:
         """Stop the flush workers."""
         self.workers.shutdown(wait=wait)
-        if self._pwriters is not None:
-            self._pwriters.shutdown(wait=wait)
+        self._pwriters.shutdown(wait=wait)
 
     # -- the actual write ----------------------------------------------------------
     def _write_shard(self, snapshot: SnapshotJob) -> FlushResult:
-        if self.parallel_shard_writes:
-            return self._write_shard_parallel(snapshot)
-        return self._write_shard_streaming(snapshot)
-
-    def _write_shard_streaming(self, snapshot: SnapshotJob) -> FlushResult:
-        checksum = 0
-        nbytes = 0
-
-        def chunks() -> Iterator[Union[bytes, memoryview]]:
-            nonlocal checksum, nbytes
-            preamble = encode_preamble(snapshot.header, snapshot.skeleton)
-            # Whole-file CRC32, accumulated incrementally chunk by chunk so it
-            # can be re-verified by hashing the file once at restart time.
-            checksum = zlib.crc32(preamble) & 0xFFFFFFFF
-            nbytes += len(preamble)
-            yield preamble
-            while True:
-                staged = snapshot.staged.get()
-                if staged is None:
-                    break
-                view = staged.allocation.view
-                total = staged.entry.nbytes
-                for start in range(0, total, self.chunk_size):
-                    stop = min(start + self.chunk_size, total)
-                    piece = view[start:stop]
-                    checksum = zlib.crc32(piece, checksum) & 0xFFFFFFFF
-                    nbytes += len(piece)
-                    yield piece
-                # The last chunk of this tensor has been handed to the writer;
-                # its staging space can be recycled for the next copies.
-                self.pool.free(staged.allocation)
-            capture_error = snapshot.capture_error()
-            if capture_error is not None:
-                raise CheckpointError(
-                    f"snapshot capture failed mid-flush: {capture_error}"
-                ) from capture_error
-
-        receipt = self.store.write_shard(snapshot.tag, snapshot.shard_name, chunks())
-        record = self._snapshot_record(snapshot, receipt.nbytes, checksum)
-        return FlushResult(tag=snapshot.tag, shard_name=snapshot.shard_name,
-                           nbytes=receipt.nbytes, checksum=checksum, record=record)
-
-    def _write_shard_parallel(self, snapshot: SnapshotJob) -> FlushResult:
         """Offset-addressed flush: staged tensors fan out to pwrite workers."""
-        assert self._pwriters is not None
         header = snapshot.header
         preamble = encode_preamble(header, snapshot.skeleton)
         total_bytes = len(preamble) + header.payload_bytes

@@ -5,10 +5,10 @@ The "TorchSnapshot" baseline of §6.2: the state is chunked and serialized by
 until the whole flush (and the commit) has completed** — parallel I/O without
 the lazy capture/flush overlap that DataStates adds.
 
-The writers use the offset-addressed ``pwrite`` fast path when the store
-supports it (each tensor lands at its final file offset computed by the shard
-header, chunk by chunk), falling back to a single-threaded streaming write
-otherwise.  Per-tensor CRC32s are folded into the whole-file checksum with
+The writers pwrite each tensor at its final file offset, computed by the
+shard header, chunk by chunk, through the store's
+:meth:`~repro.io.ShardStore.create_shard_writer`.  Per-tensor CRC32s are
+folded into the whole-file checksum with
 :func:`~repro.serialization.crc32_combine`, so restart-time validation is
 byte-identical to every other engine's shards.
 """
@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from ..config import CheckpointPolicy
 from ..exceptions import CheckpointError
-from ..io import FlushWorkerPool, ShardStore, supports_shard_writer
+from ..io import FlushWorkerPool, ShardStore
 from ..serialization import CheckpointTopology, encode_preamble, iter_part_payloads
 from ..tensor import flatten_state_dict
 from .base_engine import CheckpointEngine, CompletedCheckpointHandle
@@ -67,32 +67,17 @@ class TorchSnapshotCheckpointEngine(CheckpointEngine):
         dirty = [part for part in plan.parts
                  if inc is None or part.name not in inc.clean]
 
-        by_name = {}
-        if supports_shard_writer(self.store):
-            try:
-                records, results = self._write_parallel_set(tag, plan, parts=dirty)
-            except CheckpointError:
-                raise
-            except OSError as exc:
-                # A pwrite/commit errno from the writer pool surfaces under
-                # the same loud-failure contract as the streaming path.
-                raise CheckpointError(
-                    f"parallel shard write of {tag}/{shard} failed: {exc}") from exc
-            for record, result in zip(records, results):
-                by_name[record.name] = (record, result)
-        else:
-            for part in dirty:
-                views = [memoryview(payload)
-                         for _entry, payload in iter_part_payloads(part)]
-                nbytes, checksum = self._write_streaming_shard(
-                    tag, part.name, part.header, plan.skeleton, views)
-                record = self._part_record(
-                    plan, part, nbytes, checksum,
-                    tensor_checksums=inc.tensor_checksums(part.name) if inc else None)
-                by_name[part.name] = (record, FlushResult(
-                    tag=tag, shard_name=part.name, nbytes=nbytes,
-                    checksum=checksum, record=record))
-
+        try:
+            records, results = self._write_parallel_set(tag, plan, parts=dirty)
+        except CheckpointError:
+            raise
+        except OSError as exc:
+            # A pwrite/commit errno from the writer pool surfaces as a loud
+            # CheckpointError, never a raw errno escaping the engine.
+            raise CheckpointError(
+                f"parallel shard write of {tag}/{shard} failed: {exc}") from exc
+        by_name = {record.name: (record, result)
+                   for record, result in zip(records, results)}
         for part in plan.parts:
             if part.name not in by_name:
                 by_name[part.name] = self._reference_shard(tag, plan, part, inc)

@@ -1,4 +1,4 @@
-"""Storage backends: the pluggable shard-store protocol and its registry
+"""Storage backends: the shard-store base class and its registry
 (:class:`ShardStore`, :func:`create_store`), the real POSIX file store, the
 in-memory S3-like object store, the N-level tier chain with its background
 per-link drain pipeline (the classic fast/slow pair is its two-level form),
@@ -7,16 +7,9 @@ NVMe/Lustre/tiered/CAS models."""
 
 from .cas import DEFAULT_CHUNK_BYTES, DEFAULT_NAMESPACE, CASStore
 from .faultstore import FaultPlan, FaultyStore, InjectedProcessKill
-from .filestore import (
-    FileStore,
-    MappedShard,
-    ShardWriter,
-    WriteReceipt,
-    fsync_directory,
-    publish_file,
-)
+from .filestore import FileStore, MappedShard, ShardWriter, fsync_directory, publish_file
 from .flush_workers import FlushTask, FlushWorkerPool
-from .objectstore import ObjectShardWriter, ObjectStore
+from .objectstore import ObjectStore
 from .sim_storage import (
     SimContentAddressedStorage,
     SimNodeLocalStorage,
@@ -32,15 +25,15 @@ from .sim_storage import (
 from .store import (
     STORE_LABELS,
     STORE_NAMES,
+    BufferedShardWriter,
+    HeapShard,
     ShardStore,
+    WriteReceipt,
     available_stores,
     canonical_store_name,
     create_store,
     register_store,
-    supports_mmap,
-    supports_ranged_reads,
     supports_shard_reference,
-    supports_shard_writer,
 )
 from .tiered import (
     DrainState,
@@ -59,10 +52,9 @@ __all__ = [
     "canonical_store_name",
     "create_store",
     "register_store",
-    "supports_mmap",
-    "supports_ranged_reads",
     "supports_shard_reference",
-    "supports_shard_writer",
+    "BufferedShardWriter",
+    "HeapShard",
     "CASStore",
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_NAMESPACE",
@@ -73,7 +65,6 @@ __all__ = [
     "fsync_directory",
     "publish_file",
     "ObjectStore",
-    "ObjectShardWriter",
     "FaultPlan",
     "FaultyStore",
     "InjectedProcessKill",

@@ -34,10 +34,11 @@ content hash**, shared across every checkpoint and every tenant:
   most garbage chunks (reclaimed by :meth:`rebuild_refcounts` + sweep) and
   can never under-count a live one.
 
-The store intentionally exposes neither ``create_shard_writer`` nor
-``open_shard_mmap`` — every engine falls back to the streaming write path and
-the loader to whole-shard (chunk-reassembled, hash-verified) reads, which is
-what routes every byte through the content-addressing layer.
+The store keeps the base class's buffered ``create_shard_writer`` and
+heap-backed ``open_shard_mmap``: a shard is staged whole and handed to
+``write_shard`` at commit, and restored with one chunk-reassembled,
+hash-verified ``read_shard``, which routes every byte through the
+content-addressing layer.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from pathlib import PurePosixPath
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import CheckpointError, ConfigurationError, ConsistencyError
-from .filestore import WriteReceipt, _check_range
+from .store import ShardStore, WriteReceipt, check_range
 
 #: Default content-chunk size.  Small enough that a localized update (one
 #: optimizer slice) dirties few chunks, large enough that per-chunk metadata
@@ -262,10 +263,10 @@ class _CASCore:
         return shards
 
 
-class CASStore:
+class CASStore(ShardStore):
     """A namespace-bound view over one content-addressed chunk pool.
 
-    Implements the full :class:`~repro.io.ShardStore` protocol for one
+    Implements :class:`~repro.io.ShardStore` for one
     tenant; :meth:`namespace` hands out sibling views over the same pool, so
     a multi-tenant service is one ``CASStore`` plus one handle per job.
     """
@@ -324,7 +325,7 @@ class CASStore:
         inner_tag = self._tag(tag)
         piece_list: List[Tuple[str, int]] = []
         total = 0
-        buffer = bytearray()
+        partial = bytearray()  # a piece still short of chunk_bytes
 
         def land(piece: bytes) -> None:
             chunk_hash = hashlib.sha256(piece).hexdigest()
@@ -338,14 +339,24 @@ class CASStore:
 
         try:
             for chunk in chunks:
-                data = chunk.tobytes() if isinstance(chunk, memoryview) else chunk
-                total += len(data)
-                buffer += data
-                while len(buffer) >= core.chunk_bytes:
-                    land(bytes(buffer[:core.chunk_bytes]))
-                    del buffer[:core.chunk_bytes]
-            if buffer:
-                land(bytes(buffer))
+                # Cut pieces straight out of the caller's buffer: a whole
+                # staged shard is one chunk, and copying it first would
+                # double the bytes moved.
+                view = memoryview(chunk).cast("B")
+                total += len(view)
+                if partial:
+                    take = min(len(view), core.chunk_bytes - len(partial))
+                    partial += view[:take]
+                    view = view[take:]
+                    if len(partial) == core.chunk_bytes:
+                        land(bytes(partial))
+                        partial.clear()
+                while len(view) >= core.chunk_bytes:
+                    land(bytes(view[:core.chunk_bytes]))
+                    view = view[core.chunk_bytes:]
+                partial += view
+            if partial:
+                land(bytes(partial))
         except BaseException:
             # Roll back this shard's pins so an aborted write never blocks
             # the sweeper forever.
@@ -470,7 +481,7 @@ class CASStore:
                          offset: int, length: int) -> bytes:
         """Ranged read assembled from only the chunks covering the range."""
         entry = self._core.shard_chunks(self._tag(tag), shard_name)
-        _check_range(tag, shard_name, offset, length, entry.nbytes)
+        check_range(tag, shard_name, offset, length, entry.nbytes)
         pieces = []
         position = 0
         end = offset + length

@@ -27,12 +27,13 @@ the same operation sequence yields a byte-identical :meth:`FaultyStore.fault_log
 A chaos failure is therefore reproducible from the seed printed in its
 message.
 
-The wrapper intentionally hides the inner store's ``create_shard_writer`` and
-``open_shard_mmap`` capabilities: engines fall back to the streaming write
-path and loaders to heap reads, so **every byte moves through the fault
-filter** rather than bypassing it through an fd or a memory map.  Ranged
-reads stay available (with read faults injected) when the inner store has
-them.
+The wrapper does not forward the inner store's ``create_shard_writer`` or
+``open_shard_mmap``; it inherits the :class:`~repro.io.ShardStore` defaults
+instead.  Its shard writer stages the pwrites and commits them through the
+faulty ``write_shard``, and its restore buffer is one faulty ``read_shard``,
+so the engines' one write path and the loader's one read path run unchanged
+while **every byte moves through the fault filter** rather than bypassing it
+through an fd or a memory map.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import CheckpointError, ConfigurationError
-from .filestore import WriteReceipt
+from .store import ShardStore, WriteReceipt
 
 
 class InjectedProcessKill(CheckpointError):
@@ -140,18 +141,15 @@ class FaultPlan:
         return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-class FaultyStore:
+class FaultyStore(ShardStore):
     """A :class:`~repro.io.ShardStore` wrapper injecting a :class:`FaultPlan`.
 
     Composable around any registered backend (and registered itself as the
-    ``faulty`` backend).  All unknown attributes delegate to the inner store,
-    except the capabilities deliberately hidden so injection cannot be
-    bypassed (see the module docstring).
+    ``faulty`` backend).  Attributes the base class does not define delegate
+    to the inner store; the shard writer and restore buffer are the base
+    defaults, built on this wrapper's faulty primitives (see the module
+    docstring).
     """
-
-    #: Optional capabilities never exposed: bytes written through an fd or
-    #: read through a map would bypass the fault filter.
-    _HIDDEN = frozenset({"create_shard_writer", "open_shard_mmap"})
 
     def __init__(self, inner, plan: Optional[FaultPlan] = None) -> None:
         if isinstance(inner, FaultyStore):
@@ -165,11 +163,6 @@ class FaultyStore:
         self._failures: Dict[Tuple[str, str], int] = {}
         self._log: List[Dict[str, object]] = []
         self._enabled = True
-        # Ranged reads are exposed (with injection) only when the inner store
-        # has them, as an instance attribute so ``supports_ranged_reads``
-        # feature detection keeps working.
-        if callable(getattr(inner, "read_shard_range", None)):
-            self.read_shard_range = self._faulty_read_shard_range
 
     # -- plumbing -------------------------------------------------------------
     @property
@@ -180,10 +173,6 @@ class FaultyStore:
     def __getattr__(self, name: str):
         if name == "_inner":  # guard: never recurse during construction
             raise AttributeError(name)
-        if name in FaultyStore._HIDDEN:
-            raise AttributeError(
-                f"{name!r} is disabled under fault injection (writes/reads "
-                "must stream through the fault filter)")
         return getattr(self._inner, name)
 
     def suspend(self) -> "_SuspendedFaults":
@@ -318,8 +307,8 @@ class FaultyStore:
         return self._maybe_tear_read("read_shard", key, occurrence, op_index,
                                      payload)
 
-    def _faulty_read_shard_range(self, tag: str, shard_name: str,
-                                 offset: int, length: int) -> bytes:
+    def read_shard_range(self, tag: str, shard_name: str,
+                         offset: int, length: int) -> bytes:
         key = f"{tag}/{shard_name}"
         op_index, occurrence = self._gate("read_shard_range", key,
                                           self.plan.read_error_prob)

@@ -7,21 +7,17 @@ and are renamed into place so that a partially-written shard can never be
 mistaken for a complete one — the on-disk analogue of the consistency
 guarantee the two-phase commit provides across ranks.
 
-Two write paths are provided:
+:class:`FileStore` overrides both of the base class's buffered defaults with
+native file operations:
 
-* :meth:`FileStore.write_shard` — the legacy streaming path: one sequential
-  writer consumes an iterable of chunks front to back.
-
-* :meth:`FileStore.create_shard_writer` — the fast path: an offset-addressed
-  :class:`ShardWriter` backed by ``os.pwrite``.  Because every tensor's file
-  offset is fixed up front by the shard header, multiple flush workers can
+* :meth:`FileStore.create_shard_writer` returns a :class:`ShardWriter`: a
+  pre-sized temp file written with ``os.pwrite``.  Because every tensor's
+  file offset is fixed up front by the shard header, multiple flush workers
   write one shard's tensors concurrently and out of order, each landing its
   staged view directly at its final offset.
-
-Restores mirror the split: :meth:`FileStore.read_shard` materialises the
-whole file as ``bytes``, while :meth:`FileStore.open_shard_mmap` returns a
-:class:`MappedShard` whose pages stream in lazily and are never duplicated on
-the heap.
+* :meth:`FileStore.open_shard_mmap` returns a :class:`MappedShard`, a
+  read-only memory map whose pages stream in lazily and are never
+  duplicated on the heap.
 """
 
 from __future__ import annotations
@@ -31,19 +27,11 @@ import mmap
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
 from ..exceptions import CheckpointError
-
-
-@dataclass(frozen=True)
-class WriteReceipt:
-    """Result of one completed shard write."""
-
-    path: Path
-    nbytes: int
+from .store import ShardStore, WriteReceipt, check_range
 
 
 def fsync_directory(directory: Union[str, Path]) -> None:
@@ -67,7 +55,7 @@ def publish_file(tmp_name: Union[str, Path], final_path: Union[str, Path],
     """Atomically publish ``tmp_name`` under ``final_path`` (rename + durability).
 
     The one rename-then-fsync-parent sequence every publish path shares
-    (shard writers, streaming shard writes, manifests, the tiered store's
+    (shard writers, whole-shard writes, manifests, the tiered store's
     tier-index sidecar).  With ``fsync=True`` the parent directory is fsynced
     after the rename, because the rename itself is not durable until then.
 
@@ -92,8 +80,8 @@ class ShardWriter:
     ``os.pwrite`` calls from multiple flush workers can land tensor payloads
     at their final offsets in any order.  ``os.pwrite`` is atomic with
     respect to the file offset, so no locking is needed between writers.
-    The same publish protocol as the streaming path applies: the file only
-    becomes visible under its final name at :meth:`commit`.
+    The file only becomes visible under its final name at :meth:`commit`
+    (temp name, then rename, as for every publish of this store).
     """
 
     def __init__(self, directory: Path, final_path: Path, total_bytes: int,
@@ -228,17 +216,7 @@ class MappedShard:
         self.close()
 
 
-def _check_range(tag: str, shard_name: str, offset: int, length: int,
-                 size: int) -> None:
-    """Shared bounds check of the ranged-read capability (file and object)."""
-    if offset < 0 or length < 0 or offset + length > size:
-        raise CheckpointError(
-            f"range [{offset}, {offset + length}) outside shard "
-            f"{shard_name!r} of checkpoint {tag!r} ({size} bytes)"
-        )
-
-
-class FileStore:
+class FileStore(ShardStore):
     """A directory-backed store of checkpoint shard files."""
 
     def __init__(self, root: Union[str, Path], fsync: bool = False) -> None:
@@ -262,7 +240,7 @@ class FileStore:
     # -- writes ----------------------------------------------------------------
     def write_shard(self, tag: str, shard_name: str,
                     chunks: Iterable[Union[bytes, memoryview]]) -> WriteReceipt:
-        """Write a shard from an iterable of byte chunks (streaming friendly).
+        """Write a shard from an iterable of byte chunks.
 
         Chunks may be ``bytes`` or zero-copy ``memoryview`` slices of a
         staging buffer; each chunk is fully written before the next one is
@@ -349,7 +327,7 @@ class FileStore:
         fd = os.open(str(path), os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
-            _check_range(tag, shard_name, offset, length, size)
+            check_range(tag, shard_name, offset, length, size)
             pieces = []
             position = offset
             end = offset + length

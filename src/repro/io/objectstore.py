@@ -1,7 +1,7 @@
 """In-memory object-store backend: one shard part per key, S3-like semantics.
 
-The :class:`ObjectStore` implements the :class:`~repro.io.store.ShardStore`
-protocol over a flat key/value namespace instead of a POSIX directory tree:
+The :class:`ObjectStore` implements :class:`~repro.io.store.ShardStore`
+over a flat key/value namespace instead of a POSIX directory tree:
 
 * every shard part is **one whole object** under ``{tag}/{shard_name}.shard``
   and every manifest one object under ``{tag}/manifest.json``;
@@ -14,15 +14,11 @@ protocol over a flat key/value namespace instead of a POSIX directory tree:
   leaves shard objects without a manifest, which ``prune_uncommitted``
   garbage-collects the same way it prunes torn directories.
 
-The store intentionally does **not** provide ``open_shard_mmap`` — there is
-no file to map, so :class:`~repro.restart.CheckpointLoader` automatically
-falls back to whole-object ``read_shard`` GETs (which the prefetching restore
-pipeline overlaps across the shard-set).  It *does* provide
-``create_shard_writer``: an :class:`ObjectShardWriter` that accepts
-offset-addressed ``pwrite`` calls into a pre-sized staging buffer and
-publishes the object atomically at :meth:`ObjectShardWriter.commit` — the
-multipart-upload analogue of the file backend's pwrite-then-rename fast path,
-so the parallel flush pipeline runs unchanged against either backend.
+The store uses both of the base class's defaults, as a remote object store
+would: a shard writer stages the object in memory and PUTs it at commit
+(the multipart-upload analogue of the file backend's pwrite-then-rename),
+and a restore reads each object with one whole-object GET into a
+:class:`~repro.io.HeapShard`, since there is no file to map.
 
 Everything lives in process memory behind one lock; the class is a stand-in
 for a real S3/GCS client with identical consistency semantics, and its
@@ -38,89 +34,14 @@ from pathlib import PurePosixPath
 from typing import Dict, Iterable, List, Union
 
 from ..exceptions import CheckpointError
-from .filestore import WriteReceipt, _check_range
+from .store import ShardStore, WriteReceipt, check_range
 
 _SHARD_SUFFIX = ".shard"
 _MANIFEST_KEY = "manifest.json"
 
 
-class ObjectShardWriter:
-    """Offset-addressed writer staging one object in memory until commit.
-
-    Mirrors :class:`~repro.io.ShardWriter`'s contract — thread-safe
-    ``pwrite`` at arbitrary offsets into a pre-sized buffer, a single
-    :meth:`commit` that atomically publishes the object, and an idempotent
-    :meth:`abort` that discards the staging buffer — without any filesystem:
-    the "temp file" is a private ``bytearray`` and the "rename" is one locked
-    dictionary PUT.
-    """
-
-    def __init__(self, store: "ObjectStore", key: str, total_bytes: int) -> None:
-        if total_bytes <= 0:
-            raise CheckpointError("shard writer needs a positive total size")
-        self._store = store
-        self.key = key
-        self.total_bytes = int(total_bytes)
-        self._buffer: bytearray = bytearray(self.total_bytes)
-        self._view = memoryview(self._buffer)
-        self._committed = False
-        self._closed = False
-
-    def pwrite(self, offset: int, data) -> int:
-        """Write ``data`` (bytes or memoryview) at ``offset``; thread-safe.
-
-        Concurrent writers land disjoint ranges, so plain slice assignment
-        into the staging buffer needs no locking (the store lock is only
-        taken at publish time).
-        """
-        if self._closed:
-            raise CheckpointError(f"shard writer for {self.key!r} is closed")
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
-        if offset < 0 or offset + len(view) > self.total_bytes:
-            raise CheckpointError(
-                f"pwrite [{offset}, {offset + len(view)}) outside shard of "
-                f"{self.total_bytes} bytes"
-            )
-        self._view[offset:offset + len(view)] = view
-        return len(view)
-
-    def commit(self) -> WriteReceipt:
-        """Atomically publish the staged object under its final key."""
-        if self._closed:
-            raise CheckpointError(f"shard writer for {self.key!r} is closed")
-        self._view.release()
-        payload = bytes(self._buffer)
-        self._closed = True
-        self._buffer = bytearray()
-        self._store._put(self.key, payload)
-        self._committed = True
-        return WriteReceipt(path=PurePosixPath(self.key), nbytes=len(payload))
-
-    def abort(self) -> None:
-        """Discard the staging buffer without publishing (idempotent)."""
-        if not self._closed:
-            self._view.release()
-            self._closed = True
-        self._buffer = bytearray()
-
-    def __enter__(self) -> "ObjectShardWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # No-op after commit(); otherwise discard the staged object so an
-        # uncommitted writer can never leak its buffer.
-        self.abort()
-
-
-class ObjectStore:
+class ObjectStore(ShardStore):
     """An in-memory S3-like store of checkpoint shard objects (one per key)."""
-
-    #: Remote-style backend: restores benefit from bounded ranged GETs
-    #: instead of materialising whole objects (the loader consults this — a
-    #: local file store reads a shard in one pass instead).
-    prefers_ranged_reads = True
 
     def __init__(self, bucket: str = "repro-checkpoints", fsync: bool = False) -> None:
         # ``fsync`` is accepted for signature parity with FileStore and
@@ -176,11 +97,6 @@ class ObjectStore:
         self._put(key, payload)
         return WriteReceipt(path=PurePosixPath(key), nbytes=len(payload))
 
-    def create_shard_writer(self, tag: str, shard_name: str,
-                            total_bytes: int) -> ObjectShardWriter:
-        """Open an offset-addressed staging writer for parallel pwrites."""
-        return ObjectShardWriter(self, self.shard_key(tag, shard_name), total_bytes)
-
     def write_manifest(self, tag: str, manifest: Dict) -> str:
         """Publish the commit manifest — always the *last* key of a checkpoint.
 
@@ -207,12 +123,11 @@ class ObjectStore:
         """Ranged GET: ``length`` bytes of one shard object from ``offset``.
 
         Each call is one request (it bumps ``get_count``), mirroring an S3
-        ``Range:`` GET — what lets the restore pipeline stream sub-shard
-        chunks instead of materialising whole objects.  Out-of-bounds ranges
-        are rejected rather than truncated (see the file backend).
+        ``Range:`` GET; the tier chain's drain copies large parts this way.
+        Out-of-bounds ranges are rejected rather than truncated.
         """
         payload = self.read_shard(tag, shard_name)
-        _check_range(tag, shard_name, offset, length, len(payload))
+        check_range(tag, shard_name, offset, length, len(payload))
         return payload[offset:offset + length]
 
     def read_manifest(self, tag: str) -> Dict:

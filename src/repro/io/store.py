@@ -1,104 +1,221 @@
-"""The pluggable shard-store protocol and the store registry.
+"""The shard-store base class and the store registry.
 
 :class:`ShardStore` is the one storage interface the checkpoint pipeline
-programs against — extracted from :class:`~repro.io.FileStore` so that
-alternative backends (the in-memory S3-like :class:`~repro.io.ObjectStore`,
-future io_uring/O_DIRECT stores, real object stores) plug in underneath every
-engine, the trainer, the restart path, and the CLI without touching any call
-site.  Stores are selected by name through :func:`create_store`, mirroring how
-engines are selected through :func:`repro.core.create_real_engine`.
+programs against.  Every backend subclasses it — the POSIX
+:class:`~repro.io.FileStore`, the in-memory S3-like
+:class:`~repro.io.ObjectStore`, the tier chain, the content-addressed store,
+the fault-injection wrapper — so every engine, the trainer, the restart path
+and the CLI run one code path over any of them.  Stores are selected by name
+through :func:`create_store`, mirroring how engines are selected through
+:func:`repro.core.create_real_engine`.
 
-The protocol has a required core and two *optional capabilities*:
+A backend implements the storage primitives:
 
-required
-    ``write_shard`` / ``read_shard`` — streaming shard write, whole-shard read;
-    ``write_manifest`` / ``read_manifest`` — commit-manifest publish/read
-    (publishing the manifest is what makes a checkpoint restorable, so a
-    backend must order it after every shard of the tag is durable);
-    ``shard_size`` / ``total_bytes`` — sizing;
-    ``list_checkpoints`` / ``list_committed_checkpoints`` /
-    ``delete_checkpoint`` — discovery and housekeeping.
+* ``write_shard`` / ``read_shard`` / ``read_shard_range`` — streaming shard
+  write, whole-shard read, and a bounds-checked sub-shard read;
+* ``write_manifest`` / ``read_manifest`` — commit-manifest publish/read
+  (publishing the manifest is what makes a checkpoint restorable, so a
+  backend must order it after every shard of the tag is durable);
+* ``shard_size`` / ``total_bytes`` — sizing;
+* ``list_checkpoints`` / ``list_committed_checkpoints`` /
+  ``delete_checkpoint`` — discovery and housekeeping.
 
-optional (feature-detected with ``callable(getattr(store, name, None))``)
-    ``create_shard_writer`` — offset-addressed writer for the parallel pwrite
-    fast path (:class:`~repro.core.FlushPipeline` and the TorchSnapshot-like
-    engine fall back to streaming writes when absent);
-    ``open_shard_mmap`` — zero-copy mapped reads for the mmap restore path
-    (:class:`~repro.restart.CheckpointLoader` falls back to ``read_shard``
-    when absent — e.g. an object store has no file to map);
-    ``read_shard_range`` — sub-shard ranged reads (``pread`` on the file
-    backend, a ``Range:`` GET on the object backend) used by the restore
-    pipeline to stream large parts in bounded chunks and by the tiered
-    store's drain to copy without materialising whole shards.
+On top of those the base class supplies the two operations the pipeline
+actually calls, with defaults that work over the primitives:
 
-The ``tiered`` backend (:class:`~repro.io.TieredStore`) composes two
-registered stores into a local fast tier with an asynchronous drain to a
-remote slow tier; see :mod:`repro.io.tiered`.  The ``cas`` backend
-(:class:`~repro.io.CASStore`) wraps any inner store in content-addressed
-chunk storage with per-job namespaces, incremental (reference-based) saves,
-and refcounted cross-job GC; see :mod:`repro.io.cas` — its extra capability
-``record_shard_reference`` is feature-detected via
-:func:`supports_shard_reference`.
+* ``create_shard_writer`` — the one write path.  The flush pipeline pwrites
+  each staged tensor at its final offset, out of order, from several
+  workers.  The default :class:`BufferedShardWriter` stages the shard in
+  memory and publishes it with one ``write_shard`` at commit; the file
+  backend overrides it with a pre-sized temp file written by ``os.pwrite``.
+* ``open_shard_mmap`` — the one read path.  The loader validates and
+  deserializes straight out of the returned buffer.  The default
+  :class:`HeapShard` wraps one ``read_shard``; the file backend overrides it
+  with a read-only memory map.
+
+``record_shard_reference`` (the CAS store's incremental-save path) is the
+only optional capability; :func:`supports_shard_reference` detects it.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Protocol, Union, runtime_checkable
+import abc
+from dataclasses import dataclass
+from pathlib import Path, PurePath
+from typing import Callable, Dict, Iterable, List, Union
 
-from ..exceptions import ConfigurationError
-from .filestore import FileStore, WriteReceipt
+from ..exceptions import CheckpointError, ConfigurationError
 
 
-@runtime_checkable
-class ShardStore(Protocol):
-    """Structural interface of a checkpoint shard store (see module docstring).
+@dataclass(frozen=True)
+class WriteReceipt:
+    """Result of one completed shard write."""
 
-    ``runtime_checkable`` so conformance tests can assert
-    ``isinstance(store, ShardStore)``; the optional capabilities
-    (``create_shard_writer``, ``open_shard_mmap``) are deliberately not part
-    of the protocol — callers feature-detect them.
+    path: PurePath
+    nbytes: int
+
+
+def check_range(tag: str, shard_name: str, offset: int, length: int,
+                size: int) -> None:
+    """Bounds check of ``read_shard_range``: a range must lie entirely inside
+    the shard (a short read would silently corrupt a restore)."""
+    if offset < 0 or length < 0 or offset + length > size:
+        raise CheckpointError(
+            f"range [{offset}, {offset + length}) outside shard "
+            f"{shard_name!r} of checkpoint {tag!r} ({size} bytes)"
+        )
+
+
+class HeapShard:
+    """A shard's bytes on the heap, behind the buffer interface the restore
+    path reads (``data``, ``len()``, ``close()``): the default result of
+    :meth:`ShardStore.open_shard_mmap`."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def close(self) -> None:
+        """Drop the payload (zero-copy views keep their own reference)."""
+        self.data = b""
+
+    def __enter__(self) -> "HeapShard":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class BufferedShardWriter:
+    """Offset-addressed writer staging one shard in memory until commit.
+
+    The default :meth:`ShardStore.create_shard_writer`: thread-safe
+    ``pwrite`` at arbitrary offsets into a pre-sized buffer (concurrent
+    writers land disjoint ranges, so slice assignment needs no lock), one
+    :meth:`commit` that publishes the shard through the store's own
+    ``write_shard``, and an idempotent :meth:`abort` that drops the buffer.
+    """
+
+    def __init__(self, store: "ShardStore", tag: str, shard_name: str,
+                 total_bytes: int) -> None:
+        if total_bytes <= 0:
+            raise CheckpointError("shard writer needs a positive total size")
+        self._store = store
+        self.tag = tag
+        self.shard_name = shard_name
+        self.total_bytes = int(total_bytes)
+        self._buffer = bytearray(self.total_bytes)
+        self._view = memoryview(self._buffer)
+        self._closed = False
+
+    def pwrite(self, offset: int, data) -> int:
+        """Write ``data`` (bytes or memoryview) at ``offset``; thread-safe."""
+        if self._closed:
+            raise CheckpointError(
+                f"shard writer for {self.tag}/{self.shard_name} is closed")
+        view = data if isinstance(data, memoryview) else memoryview(data)
+        if view.ndim != 1 or view.itemsize != 1:
+            view = view.cast("B")
+        if offset < 0 or offset + len(view) > self.total_bytes:
+            raise CheckpointError(
+                f"pwrite [{offset}, {offset + len(view)}) outside shard of "
+                f"{self.total_bytes} bytes"
+            )
+        self._view[offset:offset + len(view)] = view
+        return len(view)
+
+    def commit(self) -> WriteReceipt:
+        """Publish the staged shard with one ``write_shard``."""
+        if self._closed:
+            raise CheckpointError(
+                f"shard writer for {self.tag}/{self.shard_name} is closed")
+        self._view.release()
+        self._closed = True
+        payload, self._buffer = self._buffer, bytearray()
+        return self._store.write_shard(self.tag, self.shard_name, [payload])
+
+    def abort(self) -> None:
+        """Discard the staging buffer without publishing (idempotent)."""
+        if not self._closed:
+            self._view.release()
+            self._closed = True
+        self._buffer = bytearray()
+
+    def __enter__(self) -> "BufferedShardWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # No-op after commit(); otherwise discard the staged shard.
+        self.abort()
+
+
+class ShardStore(abc.ABC):
+    """Base class of every checkpoint shard store (see module docstring).
+
+    Subclasses implement the abstract primitives and override
+    :meth:`create_shard_writer` / :meth:`open_shard_mmap` only where they
+    have something faster than the buffered defaults.
     """
 
     # -- writes --------------------------------------------------------------
+    @abc.abstractmethod
     def write_shard(self, tag: str, shard_name: str,
                     chunks: Iterable[Union[bytes, memoryview]]) -> WriteReceipt:
         """Write one shard from an iterable of byte chunks; atomic publish."""
-        ...
 
+    def create_shard_writer(self, tag: str, shard_name: str, total_bytes: int):
+        """Offset-addressed writer for one shard of exactly ``total_bytes``
+        (``pwrite`` / ``commit`` / ``abort``); nothing is visible before
+        ``commit``."""
+        return BufferedShardWriter(self, tag, shard_name, total_bytes)
+
+    @abc.abstractmethod
     def write_manifest(self, tag: str, manifest: Dict) -> object:
         """Atomically publish the commit manifest of checkpoint ``tag``."""
-        ...
 
     # -- reads ---------------------------------------------------------------
+    @abc.abstractmethod
     def read_shard(self, tag: str, shard_name: str) -> bytes:
         """Read back one shard's bytes."""
-        ...
 
+    @abc.abstractmethod
+    def read_shard_range(self, tag: str, shard_name: str,
+                         offset: int, length: int) -> bytes:
+        """Read ``length`` bytes of one shard from ``offset``; ranges outside
+        the shard are rejected (see :func:`check_range`), never truncated."""
+
+    def open_shard_mmap(self, tag: str, shard_name: str):
+        """One shard as a read-only buffer (``data`` / ``close()``) for the
+        restore path: a memory map where the backend has a file to map, a
+        :class:`HeapShard` over ``read_shard`` by default."""
+        return HeapShard(self.read_shard(tag, shard_name))
+
+    @abc.abstractmethod
     def read_manifest(self, tag: str) -> Dict:
         """Read back the commit manifest of checkpoint ``tag``."""
-        ...
 
+    @abc.abstractmethod
     def shard_size(self, tag: str, shard_name: str) -> int:
         """Stored size of one shard."""
-        ...
 
     # -- management ----------------------------------------------------------
+    @abc.abstractmethod
     def list_checkpoints(self) -> List[str]:
         """Tags of checkpoints present (committed or not), sorted."""
-        ...
 
+    @abc.abstractmethod
     def list_committed_checkpoints(self) -> List[str]:
         """Tags of checkpoints that have a manifest, sorted."""
-        ...
 
+    @abc.abstractmethod
     def delete_checkpoint(self, tag: str) -> None:
         """Remove every stored object of one checkpoint."""
-        ...
 
+    @abc.abstractmethod
     def total_bytes(self, tag: str) -> int:
         """Sum of shard sizes of a checkpoint."""
-        ...
 
 
 #: Canonical store names, default backend first.  The ``faulty`` chaos
@@ -119,6 +236,8 @@ _StoreFactory = Callable[..., ShardStore]
 
 
 def _make_file_store(root=None, fsync: bool = False, **kwargs) -> ShardStore:
+    from .filestore import FileStore
+
     if root is None:
         raise ConfigurationError("the 'file' store needs a root directory")
     return FileStore(root, fsync=fsync, **kwargs)
@@ -327,21 +446,6 @@ def register_store(name: str, factory: _StoreFactory) -> None:
     if not callable(factory):
         raise ConfigurationError("store factory must be callable")
     _STORE_REGISTRY[key] = factory
-
-
-def supports_shard_writer(store: object) -> bool:
-    """Whether ``store`` offers the offset-addressed parallel write fast path."""
-    return callable(getattr(store, "create_shard_writer", None))
-
-
-def supports_mmap(store: object) -> bool:
-    """Whether ``store`` offers zero-copy mapped reads for restores."""
-    return callable(getattr(store, "open_shard_mmap", None))
-
-
-def supports_ranged_reads(store: object) -> bool:
-    """Whether ``store`` offers ``read_shard_range`` (pread / ranged GET)."""
-    return callable(getattr(store, "read_shard_range", None))
 
 
 def supports_shard_reference(store: object) -> bool:

@@ -16,10 +16,11 @@ optional byte capacity, watermark, and drain-worker budget) where
   checkpoint is restorable from a level if and only if its manifest exists
   there;
 * restores are **nearest-level-first** — reads walk the chain from level 0
-  and serve from the shallowest level holding the data, and a hit on a
-  deeper level **promotes on read**: the just-fetched part is re-warmed into
-  every level above the hit (manifest republished per level once all parts
-  are back, manifest-last again);
+  and serve from the shallowest level holding the data, and a heap read
+  from a deeper level **promotes on read**: the just-fetched part is
+  re-warmed into every level above the hit (manifest republished per level
+  once all parts are back, manifest-last again), while a deeper file level
+  serves its memory map in place;
 * **eviction is watermark-driven per level**: once a checkpoint has reached
   a deeper level, its copy on a capacity-bounded shallower level becomes
   evictable, and levels are trimmed oldest-first back below
@@ -79,8 +80,8 @@ from ..config import (
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
 from ..units import parse_bytes
-from .filestore import MappedShard, WriteReceipt, publish_file
-from .store import supports_mmap, supports_ranged_reads
+from .filestore import publish_file
+from .store import HeapShard, ShardStore, WriteReceipt
 
 logger = get_logger(__name__)
 
@@ -267,23 +268,6 @@ class _DrainJob:
                 "levels": sorted(self.residency)}
 
 
-class _HeapShard(MappedShard):
-    """A :class:`MappedShard`-compatible wrapper over heap bytes.
-
-    The loader's zero-copy restore path expects ``open_shard_mmap`` to return
-    an object with ``.data``/``.close()``; when no mappable level holds the
-    shard, the deeper level's payload is handed back in this wrapper and the
-    restore degrades gracefully to a heap read.
-    """
-
-    def __init__(self, payload: bytes) -> None:  # noqa: D107 - see class doc
-        self.path = None
-        self.data = payload
-
-    def close(self) -> None:
-        self.data = b""
-
-
 class _AccountingShardWriter:
     """Level-0 shard-writer proxy: accounts committed bytes for capacity
     tracking (the backpressure gate already ran at creation time)."""
@@ -315,7 +299,7 @@ class _AccountingShardWriter:
         return getattr(self._inner, name)
 
 
-class TierChain:
+class TierChain(ShardStore):
     """A :class:`~repro.io.ShardStore` over an ordered chain of tier levels.
 
     See the module docstring for the commit/drain/evict/promote life cycle.
@@ -365,6 +349,9 @@ class TierChain:
         self.promote_on_read = bool(promote_on_read)
         self.backpressure_timeout_s = float(backpressure_timeout_s)
         self._lock = threading.RLock()
+        #: Serializes sidecar rewrites, so a snapshot taken earlier can never
+        #: be written over a newer one.
+        self._persist_lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._jobs: Dict[str, _DrainJob] = {}
         self._deleted: set = set()
@@ -436,29 +423,30 @@ class TierChain:
         """
         if self._index_path is None:
             return
-        with self._lock:
-            entries = {tag: job.snapshot() for tag, job in self._jobs.items()}
-        payload = json.dumps(entries, indent=2, sort_keys=True).encode("utf-8")
-        directory = self._index_path.parent
-        tmp_name = None
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(prefix=f".{TIER_INDEX_NAME}.",
-                                            dir=str(directory))
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            publish_file(tmp_name, self._index_path, directory, fsync=self.fsync)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            logger.warning("could not persist tier index %s: %s",
-                           self._index_path, exc)
+        with self._persist_lock:
+            with self._lock:
+                entries = {tag: job.snapshot() for tag, job in self._jobs.items()}
+            payload = json.dumps(entries, indent=2, sort_keys=True).encode("utf-8")
+            directory = self._index_path.parent
+            tmp_name = None
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(prefix=f".{TIER_INDEX_NAME}.",
+                                                dir=str(directory))
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
+                    handle.flush()
+                    if self.fsync:
+                        os.fsync(handle.fileno())
+                publish_file(tmp_name, self._index_path, directory, fsync=self.fsync)
+            except OSError as exc:
+                if tmp_name is not None:
+                    try:
+                        os.unlink(tmp_name)
+                    except OSError:
+                        pass
+                logger.warning("could not persist tier index %s: %s",
+                               self._index_path, exc)
 
     def _recover(self) -> None:
         """Rebuild residency from every level; resume interrupted drains.
@@ -766,15 +754,11 @@ class TierChain:
         self._account(tag, target, nbytes)
 
     def _part_chunks(self, source: int, tag: str, name: str, nbytes: int):
-        """Stream one shard from a level in bounded chunks (ranged reads when
-        the source supports them, one whole read otherwise)."""
+        """Stream one shard from a level in bounded ranged reads."""
         store = self._stores[source]
-        if supports_ranged_reads(store) and nbytes > _DRAIN_CHUNK_BYTES:
-            for offset in range(0, nbytes, _DRAIN_CHUNK_BYTES):
-                length = min(_DRAIN_CHUNK_BYTES, nbytes - offset)
-                yield store.read_shard_range(tag, name, offset, length)
-        else:
-            yield store.read_shard(tag, name)
+        for offset in range(0, nbytes, _DRAIN_CHUNK_BYTES):
+            length = min(_DRAIN_CHUNK_BYTES, nbytes - offset)
+            yield store.read_shard_range(tag, name, offset, length)
 
     # -- eviction ---------------------------------------------------------------
     def _evict_pass(self, level0_headroom: int = 0) -> None:
@@ -907,13 +891,6 @@ class TierChain:
             }
 
     # -- reads (nearest level first) -------------------------------------------
-    @property
-    def prefers_ranged_reads(self) -> bool:
-        """Whether restores should stream sub-shard ranges: inherited from
-        the deepest level (shallow hits are local either way, but a miss
-        walks toward the remote end, where bounded ranges are what pays)."""
-        return bool(getattr(self._stores[-1], "prefers_ranged_reads", False))
-
     def read_shard(self, tag: str, shard_name: str) -> bytes:
         """Read one shard from the nearest level holding it.
 
@@ -1012,35 +989,36 @@ class TierChain:
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
-        """Ranged read from the nearest level that holds the shard and
-        supports ranged reads."""
+        """Ranged read from the nearest level that holds the shard."""
         last_error: Optional[BaseException] = None
         for store in self._stores:
-            if not supports_ranged_reads(store):
-                continue
             try:
                 return store.read_shard_range(tag, shard_name, offset, length)
             except (CheckpointError, OSError) as exc:
                 last_error = exc
         raise last_error if last_error is not None else CheckpointError(
-            f"no tier level supports ranged reads for {tag!r}/{shard_name!r}")
+            f"shard {shard_name!r} of checkpoint {tag!r} is on no tier level")
 
-    def open_shard_mmap(self, tag: str, shard_name: str) -> MappedShard:
-        """Zero-copy map from the nearest mappable level; heap fallback.
+    def open_shard_mmap(self, tag: str, shard_name: str):
+        """The restore buffer from the nearest level holding the shard.
 
-        The nearest-level contract of the mmap restore path: a shard
-        resident on a mappable level is mapped (true zero-copy), one only
-        held deeper is fetched and wrapped so the loader's buffer handling
-        is identical either way.
+        A level that maps natively (a file level) serves the restore as-is,
+        with no promotion.  A level that can only return a
+        :class:`~repro.io.HeapShard` below level 0 promotes the fetched
+        bytes into every level above it, exactly as :meth:`read_shard` does.
         """
-        for store in self._stores:
-            if not supports_mmap(store):
-                continue
+        last_error: Optional[BaseException] = None
+        for index, store in enumerate(self._stores):
             try:
-                return store.open_shard_mmap(tag, shard_name)
-            except (CheckpointError, OSError):
+                buffer = store.open_shard_mmap(tag, shard_name)
+            except (CheckpointError, OSError) as exc:
+                last_error = exc
                 continue
-        return _HeapShard(self.read_shard(tag, shard_name))
+            if index and isinstance(buffer, HeapShard):
+                self._promote_part(tag, shard_name, buffer.data, index)
+            return buffer
+        raise last_error if last_error is not None else CheckpointError(
+            f"shard {shard_name!r} of checkpoint {tag!r} is on no tier level")
 
     def read_manifest(self, tag: str) -> Dict:
         """Read the commit manifest from the nearest level holding it."""

@@ -6,21 +6,22 @@ garbage-collected with :meth:`CheckpointLoader.prune_uncommitted`).  Shard
 files are validated against the manifest's size and CRC32 before their
 contents are handed back to the trainer.
 
-By default shards are restored through a read-only mmap (``use_mmap=True``,
-on stores that can map — an object store cannot, and transparently falls back
-to whole-object reads): the CRC32 is verified by streaming over the buffer in
-bounded chunks and the arrays are rebuilt as ``np.frombuffer`` views straight
-out of it, so a multi-hundred-MB shard is validated and loaded without ever
-holding a second full copy of it in heap memory.  ``materialize=True`` (the
-default) copies each array out of the map one tensor at a time so the result
-is writable and the map can be released; ``materialize=False`` hands back
-zero-copy read-only views that keep the map alive.
+Every shard part is read one way: the store's
+:meth:`~repro.io.ShardStore.open_shard_mmap` hands back a read-only buffer —
+a memory map on a file store, one whole-shard read wrapped in a
+:class:`~repro.io.HeapShard` on an object or CAS store.  The CRC32 is
+verified by streaming over that buffer in bounded chunks and the arrays are
+rebuilt as ``np.frombuffer`` views straight out of it, so a
+multi-hundred-MB mapped shard is validated and loaded without ever holding a
+second full copy of it in heap memory.  ``materialize=True`` (the default)
+copies each array out of the buffer so the result is writable and the
+buffer can be released; ``materialize=False`` hands back zero-copy
+read-only views that keep the buffer alive.
 
 Restores are described by a :class:`~repro.restart.RestoreSpec` and executed
 by :meth:`CheckpointLoader.restore` — one entry point covering a single shard,
 one rank, every rank, and (with ``spec.target_topology``) an elastic restore
-into a different parallel layout.  The legacy ``load_shard`` / ``load_rank`` /
-``load_all`` methods delegate through it and emit ``DeprecationWarning``.
+into a different parallel layout.
 
 Restores are **prefetched**: a bounded-worker stage (``prefetch_depth``
 workers, surfaced as :attr:`repro.config.CheckpointPolicy.prefetch_depth` and
@@ -47,7 +48,6 @@ import copy
 import math
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import DEFAULT_PREFETCH_DEPTH
 from ..exceptions import CheckpointError, ConsistencyError, RestartError
-from ..io import MappedShard, ShardStore, supports_mmap, supports_ranged_reads
+from ..io import ShardStore
 from ..logging_utils import get_logger
 from ..serialization import (
     CheckpointManifest,
@@ -72,10 +72,6 @@ logger = get_logger(__name__)
 
 #: Upper bound on concurrent per-shard validation threads.
 _MAX_VALIDATE_WORKERS = 8
-
-#: Chunk size of ranged fetches on stores that support ``read_shard_range``;
-#: parts at most this large are fetched with one whole-shard read.
-DEFAULT_RANGE_FETCH_BYTES = 8 * 1024 * 1024
 
 #: One logical shard to restore: a set key and the records of its parts.
 _SetItem = Tuple[Any, List[ShardRecord]]
@@ -132,12 +128,10 @@ class CheckpointLoader:
     """Reads committed checkpoints back from any :class:`~repro.io.ShardStore`."""
 
     def __init__(self, store: ShardStore, verify_checksums: bool = True,
-                 use_mmap: bool = True, materialize: bool = True,
-                 prefetch_depth: Optional[int] = None,
-                 range_fetch_bytes: Optional[int] = None) -> None:
+                 materialize: bool = True,
+                 prefetch_depth: Optional[int] = None) -> None:
         self.store = store
         self.verify_checksums = verify_checksums
-        self.use_mmap = bool(use_mmap and supports_mmap(store))
         self.materialize = materialize
         depth = DEFAULT_PREFETCH_DEPTH if prefetch_depth is None else int(prefetch_depth)
         if depth < 0:
@@ -149,14 +143,6 @@ class CheckpointLoader:
         self._timing_lock = threading.Lock()
         self._fetch_seconds: deque = deque(maxlen=_TIMING_WINDOW)
         self._deserialize_seconds: deque = deque(maxlen=_TIMING_WINDOW)
-        # Non-mmap fetches stream sub-shard ranges of at most this many bytes
-        # on stores that support ranged reads (pread / object-store ranged
-        # GETs); 0 disables ranged fetching (whole-shard reads only).
-        chunk = (DEFAULT_RANGE_FETCH_BYTES if range_fetch_bytes is None
-                 else int(range_fetch_bytes))
-        if chunk < 0:
-            raise RestartError("range_fetch_bytes must be >= 0")
-        self.range_fetch_bytes = chunk
 
     # -- discovery ---------------------------------------------------------
     def committed_checkpoints(self) -> List[CheckpointInfo]:
@@ -222,8 +208,7 @@ class CheckpointLoader:
     def _validate_records(self, tag: str, records: Sequence[ShardRecord]) -> None:
         """Size + CRC32 validation of several shards, in parallel when >1."""
         def check(record: ShardRecord) -> None:
-            buffer = self._fetch_part(tag, record, validate=True)
-            self._close_buffer(buffer)
+            self._fetch_part(tag, record, validate=True).close()
 
         self._parallel_each(records, check)
 
@@ -251,11 +236,8 @@ class CheckpointLoader:
             raise RestartError(
                 f"shard {record.name!r} of {tag!r} carries no per-tensor checksums"
             )
-        buffer = self._fetch_part(tag, record, validate=False)
-        try:
-            self._verify_entries(tag, record, self._buffer_data(buffer))
-        finally:
-            self._close_buffer(buffer)
+        with self._fetch_part(tag, record, validate=False) as buffer:
+            self._verify_entries(tag, record, buffer.data)
 
     def _verify_entries(self, tag: str, record: ShardRecord, buffer) -> None:
         view = memoryview(buffer)
@@ -275,17 +257,6 @@ class CheckpointLoader:
                 )
 
     # -- the fetch + validate stage ----------------------------------------------
-    @staticmethod
-    def _buffer_data(buffer):
-        """The bytes-like payload of a fetched part (unwraps a MappedShard)."""
-        return buffer.data if isinstance(buffer, MappedShard) else buffer
-
-    @staticmethod
-    def _close_buffer(buffer) -> None:
-        """Release a fetched part (no-op for heap bytes)."""
-        if isinstance(buffer, MappedShard):
-            buffer.close()
-
     def _fetch_part(self, tag: str, record: ShardRecord, validate: bool):
         """Fetch one shard part, recording its wall time for auto mode."""
         started = time.perf_counter()
@@ -295,65 +266,24 @@ class CheckpointLoader:
         return buffer
 
     def _fetch_part_untimed(self, tag: str, record: ShardRecord, validate: bool):
-        """Fetch one shard part (mmap or whole read) and optionally validate
-        its size/CRC32; never leaks the mapping on a validation failure.
+        """Open one shard part's buffer and optionally validate its
+        size/CRC32; never leaks the buffer on a validation failure.
 
         Store-level read failures (an outage, a flaky device, a vanished
         object) surface as :class:`~repro.exceptions.CheckpointError` rather
         than raw ``OSError`` — the restore path's loud-failure contract."""
-        if self.use_mmap:
-            try:
-                mapped = self.store.open_shard_mmap(tag, record.name)
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot map shard {record.name!r} of {tag!r}: {exc}") from exc
-            try:
-                if validate:
-                    self._check_record(tag, record, mapped.data)
-            except BaseException:
-                mapped.close()
-                raise
-            return mapped
         try:
-            raw = self._read_part(tag, record)
+            buffer = self.store.open_shard_mmap(tag, record.name)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot read shard {record.name!r} of {tag!r}: {exc}") from exc
-        if validate:
-            self._check_record(tag, record, raw)
-        return raw
-
-    def _read_part(self, tag: str, record: ShardRecord):
-        """Materialise one shard part without mapping it.
-
-        On stores that *prefer* ranged access (``prefers_ranged_reads`` —
-        object stores and tiered stores whose slow tier is one) a large part
-        is fetched as a sequence of bounded sub-shard ranges instead of one
-        whole-object GET — the manifest already knows the part's exact size,
-        so the ranges tile it precisely.  This keeps the remote tier's
-        per-request payloads bounded while the prefetch stage overlaps whole
-        parts across the shard-set.  A local file store reads the part in
-        one pass (per-chunk preads would be pure reopen/syscall overhead).
-        """
-        chunk = self.range_fetch_bytes
-        if (chunk and record.nbytes > chunk
-                and getattr(self.store, "prefers_ranged_reads", False)
-                and supports_ranged_reads(self.store)):
-            buffer = bytearray(record.nbytes)
-            for offset in range(0, record.nbytes, chunk):
-                length = min(chunk, record.nbytes - offset)
-                piece = self.store.read_shard_range(tag, record.name, offset, length)
-                if len(piece) != length:
-                    raise ConsistencyError(
-                        f"ranged read of shard {record.name!r} ({tag!r}) returned "
-                        f"{len(piece)} bytes for [{offset}, {offset + length})"
-                    )
-                buffer[offset:offset + length] = piece
-            # Returned as-is (no bytes() copy — it would double peak memory
-            # per part); every consumer takes any buffer-protocol object,
-            # and the non-mmap path always deserializes with copy=True.
-            return buffer
-        return self.store.read_shard(tag, record.name)
+        try:
+            if validate:
+                self._check_record(tag, record, buffer.data)
+        except BaseException:
+            buffer.close()
+            raise
+        return buffer
 
     def _iter_prefetched_sets(self, tag: str, sets: Sequence[_SetItem],
                               validate: bool) -> Iterator[Tuple[Any, List[ShardRecord], List[Any]]]:
@@ -412,12 +342,12 @@ class CheckpointLoader:
                 # every buffer still owned by the pipeline.
                 for _set_index, future in pending:
                     try:
-                        self._close_buffer(future.result())
+                        future.result().close()
                     except Exception:  # noqa: BLE001 - already failing
                         pass
                 for buffers in ready.values():
                     for buffer in buffers:
-                        self._close_buffer(buffer)
+                        buffer.close()
                 raise
 
     @property
@@ -454,7 +384,7 @@ class CheckpointLoader:
                 buffers.append(self._fetch_part(tag, record, validate))
         except BaseException:
             for buffer in buffers:
-                self._close_buffer(buffer)
+                buffer.close()
             raise
         return buffers
 
@@ -466,8 +396,7 @@ class CheckpointLoader:
         committed), the slice (``rank`` / ``shard`` / ``all_ranks``; a bare
         loader with no selector restores all ranks), an optional
         ``target_topology`` for an elastic (reshaping) restore, and per-call
-        overrides of the loader's validate/materialize/mmap/prefetch
-        defaults.  :meth:`repro.core.CheckpointEngine.load` routes through
+        overrides of the loader's validate/materialize/prefetch defaults.  :meth:`repro.core.CheckpointEngine.load` routes through
         here, so every engine's restores share one validation +
         deserialization path.
         """
@@ -484,14 +413,11 @@ class CheckpointLoader:
 
     def _with_options(self, spec: RestoreSpec) -> "CheckpointLoader":
         """A shallow clone with the spec's option overrides applied."""
-        if (spec.materialize is None and spec.use_mmap is None
-                and spec.prefetch_depth is None):
+        if spec.materialize is None and spec.prefetch_depth is None:
             return self
         clone = copy.copy(self)
         if spec.materialize is not None:
             clone.materialize = spec.materialize
-        if spec.use_mmap is not None:
-            clone.use_mmap = bool(spec.use_mmap and supports_mmap(self.store))
         if spec.prefetch_depth is not None:
             clone.prefetch_depth = spec.prefetch_depth
         return clone
@@ -524,30 +450,6 @@ class CheckpointLoader:
                     f"{spec.target_topology.describe()}")
             return reshaped[spec.rank]
         return reshaped
-
-    def load_shard(self, tag: str, shard_name: str) -> Any:
-        """Deprecated: use ``restore(RestoreSpec.of_shard(shard_name, tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_shard is deprecated; use "
-            "restore(RestoreSpec.of_shard(shard_name, tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.of_shard(shard_name, tag=tag))
-
-    def load_rank(self, tag: str, rank: int, validate: bool = True) -> Any:
-        """Deprecated: use ``restore(RestoreSpec.of_rank(rank, tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_rank is deprecated; use "
-            "restore(RestoreSpec.of_rank(rank, tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.of_rank(rank, tag=tag, validate=validate))
-
-    def load_all(self, tag: str, validate: bool = True) -> Dict[int, Any]:
-        """Deprecated: use ``restore(RestoreSpec.full(tag=tag))``."""
-        warnings.warn(
-            "CheckpointLoader.load_all is deprecated; use "
-            "restore(RestoreSpec.full(tag=tag))",
-            DeprecationWarning, stacklevel=2)
-        return self.restore(RestoreSpec.full(tag=tag, validate=validate))
 
     def _load_shard(self, tag: str, shard_name: str, validate: bool = True) -> Any:
         """Load one logical shard by name, validated against the manifest.
@@ -645,18 +547,17 @@ class CheckpointLoader:
                          buffers: List[Any]) -> Any:
         """Rebuild one logical shard's state; always releases the buffers.
 
-        With ``materialize=False`` the arrays are views into the maps:
-        close() defers to garbage collection while any view lives.
+        With ``materialize=False`` the arrays are views into the buffers:
+        closing a map defers to garbage collection while any view lives.
         """
-        copy = self.materialize if self.use_mmap else True
         try:
-            datas = [self._buffer_data(buffer) for buffer in buffers]
+            datas = [buffer.data for buffer in buffers]
             started = time.perf_counter()
             try:
                 if len(records) == 1 and not records[0].in_shard_set:
-                    state = deserialize_state(datas[0], copy=copy)
+                    state = deserialize_state(datas[0], copy=self.materialize)
                 else:
-                    state = deserialize_rank_state(datas, copy=copy)
+                    state = deserialize_rank_state(datas, copy=self.materialize)
             except Exception as exc:
                 raise RestartError(
                     f"cannot deserialize shard "
@@ -670,7 +571,7 @@ class CheckpointLoader:
             return state
         finally:
             for buffer in buffers:
-                self._close_buffer(buffer)
+                buffer.close()
 
     # -- housekeeping --------------------------------------------------------------------
     def prune_uncommitted(self) -> List[str]:

@@ -1,13 +1,7 @@
 """The typed restore request — one entry point for every restore shape.
 
-The restore surface had accreted three string-typed entry points
-(``engine.load(tag, shard_name)``, ``CheckpointLoader.load_shard`` /
-``load_rank`` / ``load_all``) before the elastic-restart work added a fourth
-dimension (the target topology of a reshaping restore).  Instead of widening
-all of those signatures, a restore is now described once by a
-:class:`RestoreSpec` and executed by :meth:`CheckpointLoader.restore` (which
-``engine.load`` routes through); the old call forms survive as thin
-deprecated wrappers.
+A restore is described once by a :class:`RestoreSpec` and executed by
+:meth:`CheckpointLoader.restore`, which ``engine.load`` routes through.
 
 A spec names:
 
@@ -22,7 +16,7 @@ A spec names:
   topology (manifest schema v4) and re-split for the requested
   (DP, PP, TP) grid before the selector is applied;
 * **how to execute it** — ``validate`` (per-shard size/CRC32 checks),
-  ``materialize`` / ``use_mmap`` / ``prefetch_depth`` override the loader's
+  ``materialize`` / ``prefetch_depth`` override the loader's
   defaults when set.
 
 Specs are frozen dataclasses: build variants with the classmethod
@@ -63,8 +57,6 @@ class RestoreSpec:
     #: Override the loader's ``materialize`` default (copy arrays out of the
     #: mmap vs. hand back zero-copy views) when not ``None``.
     materialize: Optional[bool] = None
-    #: Override the loader's mmap-vs-read default when not ``None``.
-    use_mmap: Optional[bool] = None
     #: Override the loader's prefetch depth (bounded fetch+CRC workers
     #: running ahead of deserialization) when not ``None``.
     prefetch_depth: Optional[int] = None

@@ -25,9 +25,6 @@ from ..exceptions import SimulationError
 from .engine import Environment
 from .events import Event
 
-#: Residual byte counts below this value are treated as "transfer complete".
-_COMPLETION_EPSILON_BYTES = 1e-3
-
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
@@ -241,8 +238,13 @@ class FairShareLink:
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # superseded by a newer reschedule
-        self._advance(self.env.now)
-        finished = [f for f in self._flows if f.remaining <= _COMPLETION_EPSILON_BYTES]
+        now = self.env.now
+        self._advance(now)
+        # A flow is complete once its remaining time is below the clock's
+        # resolution.  An absolute byte epsilon ended small flows early
+        # (before total/capacity), while anything finer never converges.
+        finished = [f for f in self._flows
+                    if f.remaining <= 0.0 or now + f.remaining / f.rate <= now]
         if finished:
             for flow in finished:
                 self._flows.remove(flow)

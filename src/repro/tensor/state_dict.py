@@ -112,7 +112,13 @@ def flatten_state_dict(state: Any) -> FlattenedState:
             return type(value)(items) if isinstance(value, tuple) else items
         return value
 
-    skeleton = visit(state, ())
+    try:
+        skeleton = visit(state, ())
+    finally:
+        # ``visit`` refers to itself through its closure; break that cycle,
+        # or the tensor list (and the caller's arrays) would live until a
+        # cyclic GC pass.
+        del visit
     return FlattenedState(tensors=tensors, skeleton=skeleton)
 
 
@@ -135,7 +141,10 @@ def unflatten_state_dict(skeleton: Any, arrays: Sequence[np.ndarray]) -> Any:
             return tuple(visit(item) for item in value)
         return value
 
-    return visit(skeleton)
+    try:
+        return visit(skeleton)
+    finally:
+        del visit  # the self-reference cycle, as in flatten_state_dict
 
 
 def state_dict_nbytes(state: Any) -> int:

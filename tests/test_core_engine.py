@@ -151,6 +151,28 @@ def test_stats_reflect_activity(engine):
     assert stats["host_buffer_used_bytes"] == 0
 
 
+def test_saved_state_is_collectable_after_wait_all(engine):
+    """Neither the flush pipeline's job list nor the engine's handles keep a
+    finished save's snapshot (and through it the saved state) alive.  Only
+    the idle copy stream still holds its latest request, until the next
+    capture starts."""
+    import gc
+    import weakref
+
+    refs = []
+    for index in range(4):
+        state = _state(seed=index)
+        handle = engine.save(state, tag=f"ckpt-{index}", iteration=index)
+        refs.append((weakref.ref(handle.snapshot),
+                     weakref.ref(state["optimizer"]["m"])))
+        del handle, state
+        engine.wait_all()
+        assert engine.pipeline.pending_jobs() == []
+    gc.collect()
+    assert [(snapshot(), moment()) for snapshot, moment in refs[:-1]] == [(None, None)] * 3
+    assert engine.stats()["pending_flushes"] == 0
+
+
 def test_tensor_larger_than_host_buffer_rejected(store):
     engine = DataStatesCheckpointEngine(store, host_buffer_size=1024)
     try:

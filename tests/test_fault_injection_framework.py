@@ -3,9 +3,9 @@
 The chaos conformance suite (``test_chaos_conformance.py``) exercises the
 framework end to end through the engines; this file pins down the framework's
 own contracts — plan validation and serialisation, seeded determinism of the
-injected fault sequence, each injection mode in isolation, the capability
-hiding that keeps every byte inside the fault filter, and the ``faulty``
-entry in the store registry.
+injected fault sequence, each injection mode in isolation, the inherited
+shard writer and restore buffer that keep every byte inside the fault
+filter, and the ``faulty`` entry in the store registry.
 """
 
 import numpy as np
@@ -19,13 +19,12 @@ from repro.io import (
     FaultPlan,
     FaultyStore,
     FileStore,
+    BufferedShardWriter,
+    HeapShard,
     InjectedProcessKill,
     ObjectStore,
     available_stores,
     create_store,
-    supports_mmap,
-    supports_ranged_reads,
-    supports_shard_writer,
 )
 from repro.restart import CheckpointLoader, RestoreSpec
 
@@ -139,10 +138,7 @@ def test_torn_read_detected_by_loader(tmp_path):
 
 
 def test_torn_read_covers_ranged_reads(tmp_path):
-    inner = FileStore(tmp_path)
-    if not supports_ranged_reads(inner):
-        pytest.skip("inner store has no ranged reads")
-    store = FaultyStore(inner, FaultPlan(seed=15, torn_read_prob=1.0,
+    store = FaultyStore(FileStore(tmp_path), FaultPlan(seed=15, torn_read_prob=1.0,
                                          torn_read_keep_fraction=0.5))
     with store.suspend():
         store.write_shard("ck", "rank0", [b"0123456789"])
@@ -225,34 +221,74 @@ def test_suspend_disables_injection(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Capability hiding: every byte goes through the fault filter
+# The shipped write and read paths run through the fault filter
 # ---------------------------------------------------------------------------
 
 def test_bypass_capabilities_are_hidden(tmp_path):
-    file_backed = FaultyStore(FileStore(tmp_path))
-    assert supports_shard_writer(FileStore(tmp_path))
-    assert supports_mmap(FileStore(tmp_path))
-    assert not supports_shard_writer(file_backed)
-    assert not supports_mmap(file_backed)
-    with pytest.raises(AttributeError, match="fault filter"):
-        file_backed.create_shard_writer("ck", "rank0", 10)
+    """The wrapper never forwards the inner store's fd writer or memory map:
+    its writer and restore buffer are the base defaults over its own faulty
+    write_shard / read_shard."""
+    store = FaultyStore(FileStore(tmp_path),
+                        FaultPlan(seed=16, write_error_prob=1.0,
+                                  read_error_prob=1.0))
+    writer = store.create_shard_writer("ck", "rank0", 4)
+    assert isinstance(writer, BufferedShardWriter)
+    writer.pwrite(0, b"abcd")
+    with pytest.raises(OSError, match="injected"):
+        writer.commit()
+    with store.suspend():
+        store.write_shard("ck", "rank0", [b"abcd"])
+    with pytest.raises(OSError, match="injected"):
+        store.open_shard_mmap("ck", "rank0")
+    with store.suspend():
+        with store.open_shard_mmap("ck", "rank0") as buffer:
+            assert isinstance(buffer, HeapShard) and bytes(buffer.data) == b"abcd"
+    assert [entry["op"] for entry in store.fault_log()] == ["write_shard",
+                                                            "read_shard"]
+
+
+@pytest.mark.parametrize("inner_name", ["file", "object"])
+def test_torn_write_on_parallel_flush_path_fails_restore(tmp_path, inner_name):
+    """A torn write under the engine's pwrite flush lands short bytes while
+    the manifest records the intended size and CRC: the restore, through the
+    wrapper's own read path, raises ConsistencyError."""
+    inner = FileStore(tmp_path) if inner_name == "file" else ObjectStore()
+    store = FaultyStore(inner, FaultPlan(seed=17, torn_write_prob=1.0,
+                                         torn_write_keep_fraction=0.5))
+    _save_one(store, "torn", seed=3)
+    assert [entry["kind"] for entry in store.fault_log()] == ["torn_write"]
+    with pytest.raises(ConsistencyError):
+        CheckpointLoader(store).restore(RestoreSpec.full(tag="torn"))
+
+
+@pytest.mark.parametrize("fault", ["read_error", "torn_read"])
+def test_read_fault_through_restore_buffer_is_loud(tmp_path, fault):
+    """A read fault behind open_shard_mmap surfaces as CheckpointError (an
+    I/O error) or ConsistencyError (a short read), never as a state."""
+    store = FaultyStore(FileStore(tmp_path))
+    _save_one(store, "ok")
+    if fault == "read_error":
+        # Op 0 of the restore reads the manifest; op 1 is the shard read.
+        store.plan = FaultPlan(seed=18, outage_start_op=store.ops_so_far() + 1,
+                               outage_ops=1)
+    else:
+        store.plan = FaultPlan(seed=18, torn_read_prob=1.0)
+    expected = CheckpointError if fault == "read_error" else ConsistencyError
+    with pytest.raises(expected):
+        CheckpointLoader(store).restore(RestoreSpec.full(tag="ok"))
+    assert any(entry["op"] == "read_shard" for entry in store.fault_log())
 
 
 def test_ranged_reads_follow_the_inner_store(tmp_path):
-    file_backed = FaultyStore(FileStore(tmp_path))
-    assert supports_ranged_reads(FileStore(tmp_path)) == supports_ranged_reads(file_backed)
-    object_backed = FaultyStore(ObjectStore())
-    assert supports_ranged_reads(ObjectStore()) == supports_ranged_reads(object_backed)
-    if supports_ranged_reads(file_backed):
-        file_backed.write_shard("ck", "rank0", [b"0123456789"])
-        assert file_backed.read_shard_range("ck", "rank0", 2, 4) == b"2345"
+    for inner in (FileStore(tmp_path), ObjectStore()):
+        store = FaultyStore(inner)
+        store.write_shard("ck", "rank0", [b"0123456789"])
+        assert store.read_shard_range("ck", "rank0", 2, 4) == b"2345"
+        assert inner.read_shard_range("ck", "rank0", 2, 4) == b"2345"
 
 
 def test_read_faults_cover_ranged_reads(tmp_path):
-    inner = FileStore(tmp_path)
-    if not supports_ranged_reads(inner):
-        pytest.skip("inner store has no ranged reads")
-    store = FaultyStore(inner, FaultPlan(seed=9, read_error_prob=1.0))
+    store = FaultyStore(FileStore(tmp_path), FaultPlan(seed=9, read_error_prob=1.0))
     with store.suspend():
         store.write_shard("ck", "rank0", [b"0123456789"])
     with pytest.raises(OSError):

@@ -1,5 +1,6 @@
-"""Tests for the zero-copy I/O fast path: offset-addressed parallel shard
-writes (pwrite + CRC folding) and the mmap-backed restore path."""
+"""Tests for the one write path and the one read path: offset-addressed
+parallel shard writes (pwrite + CRC folding) and the restore buffer (a
+memory map on a file store, a heap buffer on an object store)."""
 
 import os
 import threading
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.config import CheckpointPolicy
-from repro.core import DataStatesCheckpointEngine
+from repro.core import DataStatesCheckpointEngine, create_real_engine
 from repro.core.flush_pipeline import FlushPipeline
 from repro.core.lazy_snapshot import CopyStream, SnapshotJob
 from repro.exceptions import CheckpointError, ConsistencyError
-from repro.io import FileStore, ShardWriter
+from repro.io import FileStore, ObjectStore, ShardWriter
 from repro.memory import PinnedHostPool
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import (
@@ -163,25 +164,31 @@ def test_open_shard_mmap_missing_shard_raises(store):
 # Parallel flush path end to end
 # ---------------------------------------------------------------------------
 
-def _engine(store, parallel, host_buffer=32 << 20, **overrides):
-    policy = CheckpointPolicy(host_buffer_size=host_buffer,
-                              parallel_shard_writes=parallel, **overrides)
-    return DataStatesCheckpointEngine(store, policy=policy)
+def _engine(store, host_buffer=32 << 20):
+    return DataStatesCheckpointEngine(
+        store, policy=CheckpointPolicy(host_buffer_size=host_buffer))
 
 
 def test_parallel_and_streaming_paths_produce_identical_files(tmp_path):
+    """The DataStates pwrite flush, on a file and on an object store, lays
+    down the same bytes (and folded CRC) as the asynchronous baseline's
+    sequential whole-shard write_shard stream."""
     state = _state(seed=3)
-    raws = {}
-    for mode, parallel in (("parallel", True), ("streaming", False)):
-        store = FileStore(tmp_path / mode)
-        engine = _engine(store, parallel)
+    reference = FileStore(tmp_path / "streaming")
+    with create_real_engine("async", reference,
+                            policy=CheckpointPolicy(host_buffer_size=32 << 20)) as engine:
+        engine.save(state, tag="ckpt", iteration=0)
+        engine.wait_all()
+    streamed = reference.read_shard("ckpt", "rank0")
+    for store in (FileStore(tmp_path / "parallel"), ObjectStore()):
+        engine = _engine(store)
         engine.save(state, tag="ckpt", iteration=0)
         engine.wait_all()
         engine.shutdown()
-        raws[mode] = store.read_shard("ckpt", "rank0")
+        raw = store.read_shard("ckpt", "rank0")
+        assert raw == streamed
         manifest = store.read_manifest("ckpt")
-        assert manifest["shards"][0]["checksum"] == checksum_bytes(raws[mode])
-    assert raws["parallel"] == raws["streaming"]
+        assert manifest["shards"][0]["checksum"] == checksum_bytes(raw)
 
 
 def test_out_of_order_written_shard_passes_restart_validation(store):
@@ -189,7 +196,7 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
     pwrites must survive restart-time checksum validation and round-trip
     bit-exactly."""
     state = _state(seed=4, tensors=12, size=8192)
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag="ooo", iteration=1)
     engine.wait_all()
     engine.shutdown()
@@ -202,8 +209,10 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
     assert record.tensor_checksums is not None
     assert len(record.tensor_checksums) == 12
     loader.verify_tensor_checksums("ooo", record)
-    # The per-tensor verify also works for stores/loaders without mmap.
-    CheckpointLoader(store, use_mmap=False).verify_tensor_checksums("ooo", record)
+    # The per-tensor verify also works on a heap buffer (object store copy).
+    heap = ObjectStore()
+    heap.write_shard("ooo", "rank0", [store.read_shard("ooo", "rank0")])
+    CheckpointLoader(heap).verify_tensor_checksums("ooo", record)
 
     loaded = loader.restore(RestoreSpec.of_rank(0, tag="ooo"))
     for key, value in state["model"].items():
@@ -211,7 +220,7 @@ def test_out_of_order_written_shard_passes_restart_validation(store):
 
 
 def test_corruption_in_parallel_written_shard_detected(store):
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(_state(seed=5), tag="ckpt", iteration=0)
     engine.wait_all()
     engine.shutdown()
@@ -244,7 +253,7 @@ def test_parallel_capture_failure_aborts_and_releases_pool(store):
     snapshot = SnapshotJob(tag="bad", shard_name="rank0", header=header,
                            skeleton=flattened.skeleton_bytes(), tensors=broken)
     stream = CopyStream(pool)
-    pipeline = FlushPipeline(store, pool, rank=0, parallel_shard_writes=True)
+    pipeline = FlushPipeline(store, pool, rank=0)
     try:
         stream.submit(snapshot)
         job = pipeline.submit(snapshot)
@@ -262,43 +271,27 @@ def test_parallel_pipeline_sizes_its_writer_pool(store):
     from repro.core.flush_pipeline import DEFAULT_WRITER_THREADS
 
     pool = PinnedHostPool(1 << 20)
-    pipeline = FlushPipeline(store, pool, flush_threads=1, parallel_shard_writes=True)
+    pipeline = FlushPipeline(store, pool, flush_threads=1)
     try:
-        assert pipeline._pwriters is not None
         assert pipeline._pwriters.num_workers == DEFAULT_WRITER_THREADS
     finally:
         pipeline.shutdown(wait=False)
-    wide = FlushPipeline(store, pool, flush_threads=8, parallel_shard_writes=True)
+    wide = FlushPipeline(store, pool, flush_threads=8)
     try:
         assert wide._pwriters.num_workers == 8
     finally:
         wide.shutdown(wait=False)
 
 
-def test_parallel_flag_falls_back_without_pwrite_store(tmp_path):
-    """Stores that cannot hand out offset writers silently use streaming."""
-
-    class _LegacyStore(FileStore):
-        create_shard_writer = None  # simulates an older/simpler backend
-
-    store = _LegacyStore(tmp_path)
-    pool = PinnedHostPool(1 << 20)
-    pipeline = FlushPipeline(store, pool, parallel_shard_writes=True)
-    try:
-        assert not pipeline.parallel_shard_writes
-    finally:
-        pipeline.shutdown(wait=False)
-
-
 # ---------------------------------------------------------------------------
 # Loader: single-pass validation + mmap reads
 # ---------------------------------------------------------------------------
 
-class _CountingStore(FileStore):
-    def __init__(self, root):
-        super().__init__(root)
-        self.reads = 0
-        self.maps = 0
+class _Counting:
+    """Counts whole-shard reads and restore-buffer opens of a store."""
+
+    reads = 0
+    maps = 0
 
     def read_shard(self, tag, shard_name):
         self.reads += 1
@@ -309,27 +302,37 @@ class _CountingStore(FileStore):
         return super().open_shard_mmap(tag, shard_name)
 
 
+class _CountingStore(_Counting, FileStore):
+    pass
+
+
+class _CountingObjectStore(_Counting, ObjectStore):
+    pass
+
+
 def _commit_checkpoint(store, state, tag="ckpt"):
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag=tag, iteration=0)
     engine.wait_all()
     engine.shutdown()
 
 
 def test_load_all_with_validation_reads_each_shard_once(tmp_path):
-    store = _CountingStore(tmp_path)
     state = _state(seed=7)
+    # An object store's restore buffer is one whole-shard read on the heap
+    # (previously: one read to validate + one to load) ...
+    store = _CountingObjectStore()
     _commit_checkpoint(store, state)
-
     store.reads = store.maps = 0
-    loader = CheckpointLoader(store, use_mmap=False)
-    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
-    assert store.reads == 1  # previously: one read to validate + one to load
+    states = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt", validate=True))
+    assert store.reads == 1 and store.maps == 1
     np.testing.assert_array_equal(states[0]["model"]["w0"], state["model"]["w0"])
 
+    # ... and a file store's is one memory map, with no read at all.
+    store = _CountingStore(tmp_path)
+    _commit_checkpoint(store, state)
     store.reads = store.maps = 0
-    loader = CheckpointLoader(store, use_mmap=True)
-    states = loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
+    states = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt", validate=True))
     assert store.reads == 0 and store.maps == 1
     np.testing.assert_array_equal(states[0]["model"]["w3"], state["model"]["w3"])
 
@@ -392,26 +395,10 @@ def test_write_manifest_failure_leaves_no_temp_files(store, monkeypatch):
     assert leftovers == []
 
 
-def test_mmap_restore_policy_off_uses_read_path(tmp_path):
-    class _NoMmapCountingStore(_CountingStore):
-        pass
-
-    store = _NoMmapCountingStore(tmp_path)
-    state = _state(seed=10)
-    engine = _engine(store, parallel=True, mmap_restore=False)
-    engine.save(state, tag="ckpt", iteration=0)
-    engine.wait_all()
-    store.reads = store.maps = 0
-    loaded = engine.load(RestoreSpec(tag="ckpt"))
-    engine.shutdown()
-    assert store.reads == 1 and store.maps == 0
-    np.testing.assert_array_equal(loaded["model"]["w0"], state["model"]["w0"])
-
-
 def test_engine_load_uses_mmap_by_default(tmp_path):
     store = _CountingStore(tmp_path)
     state = _state(seed=11)
-    engine = _engine(store, parallel=True)
+    engine = _engine(store)
     engine.save(state, tag="ckpt", iteration=0)
     engine.wait_all()
     store.reads = store.maps = 0

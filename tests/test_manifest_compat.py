@@ -16,7 +16,7 @@ import pytest
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
 from repro.exceptions import ConsistencyError
-from repro.io import FileStore
+from repro.io import FileStore, ObjectStore
 from repro.restart import CheckpointLoader, RestoreSpec
 from repro.serialization import CheckpointManifest, ShardRecord
 
@@ -39,14 +39,28 @@ def fixture_state():
     }
 
 
+def fixture_store(root, tag, native_map):
+    """The committed fixture as the restore sees it: the FileStore itself
+    (a native memory map) or a byte-identical copy in an ObjectStore (a
+    heap buffer)."""
+    store = FileStore(root)
+    if native_map:
+        return store
+    copy = ObjectStore()
+    for record in store.read_manifest(tag)["shards"]:
+        name = record["name"]
+        copy.write_shard(tag, name, [store.read_shard(tag, name)])
+    copy.write_manifest(tag, store.read_manifest(tag))
+    return copy
+
+
 # ---------------------------------------------------------------------------
 # The committed v1 fixture restores unchanged through the new loader
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_mmap", [True, False])
-def test_v1_fixture_checkpoint_restores_unchanged(use_mmap):
-    store = FileStore(FIXTURE_ROOT)
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+@pytest.mark.parametrize("native_map", [True, False])
+def test_v1_fixture_checkpoint_restores_unchanged(native_map):
+    loader = CheckpointLoader(fixture_store(FIXTURE_ROOT, FIXTURE_TAG, native_map))
 
     manifest = loader.validate(FIXTURE_TAG)
     assert manifest.version == 1
@@ -88,10 +102,9 @@ def test_v1_fixture_manifest_has_no_v2_keys():
 # The committed v2 (multi-shard) fixture restores unchanged
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_mmap", [True, False])
-def test_v2_fixture_checkpoint_restores_unchanged(use_mmap):
-    store = FileStore(V2_FIXTURE_ROOT)
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+@pytest.mark.parametrize("native_map", [True, False])
+def test_v2_fixture_checkpoint_restores_unchanged(native_map):
+    loader = CheckpointLoader(fixture_store(V2_FIXTURE_ROOT, V2_FIXTURE_TAG, native_map))
 
     manifest = loader.validate(V2_FIXTURE_TAG)
     assert manifest.version == 2

@@ -9,7 +9,7 @@ import pytest
 from repro.config import CheckpointPolicy
 from repro.core import DataStatesCheckpointEngine
 from repro.exceptions import AllocationError
-from repro.io import FileStore
+from repro.io import create_store
 from repro.memory import PinnedHostPool
 from repro.restart import RestoreSpec
 
@@ -171,11 +171,12 @@ def test_ring_wraparound_under_sustained_alloc_free():
     assert pool.used_bytes == 0
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["streaming", "parallel"])
-def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, parallel):
+@pytest.mark.parametrize("store_name", ["file", "object"])
+def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, store_name):
     """Back-pressure acceptance: two concurrent in-flight checkpoints, each
     bigger than half the pinned pool, must flow through the ring without
-    deadlock and round-trip byte-exactly on both write paths."""
+    deadlock and round-trip byte-exactly, whether the shard writer pwrites
+    a file or stages an object in memory."""
     pool_bytes = 1 << 20  # 1 MiB pool ...
     rng = np.random.default_rng(42)
     states = {}
@@ -183,9 +184,8 @@ def test_two_inflight_checkpoints_larger_than_half_pool(tmp_path, parallel):
         # ... vs ~0.75 MiB per checkpoint (6 x 128 KiB tensors).
         states[tag] = {f"t{i}": rng.integers(0, 1 << 30, size=16384, dtype=np.int64)
                        for i in range(6)}
-    store = FileStore(tmp_path)
-    policy = CheckpointPolicy(host_buffer_size=pool_bytes,
-                              parallel_shard_writes=parallel)
+    store = create_store(store_name, root=tmp_path)
+    policy = CheckpointPolicy(host_buffer_size=pool_bytes)
     engine = DataStatesCheckpointEngine(store, policy=policy)
     try:
         for iteration, (tag, state) in enumerate(states.items()):

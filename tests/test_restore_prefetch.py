@@ -30,6 +30,12 @@ def _commit(store, state, tag="ckpt", shards_per_rank=4):
         engine.wait_all()
 
 
+def _store(tmp_path, native_map):
+    """A FileStore (restores from a native memory map) or an ObjectStore
+    (restores from a heap buffer of one whole-object GET)."""
+    return FileStore(tmp_path) if native_map else ObjectStore()
+
+
 class _TrackingStore(FileStore):
     """FileStore that tracks every mmap it hands out and can fail the Nth.
 
@@ -107,13 +113,12 @@ def test_successful_load_closes_every_mmap(tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("prefetch_depth", [0, 1, 2, 8])
-@pytest.mark.parametrize("use_mmap", [True, False])
-def test_prefetch_depths_load_identical_state(tmp_path, prefetch_depth, use_mmap):
-    store = FileStore(tmp_path)
+@pytest.mark.parametrize("native_map", [True, False])
+def test_prefetch_depths_load_identical_state(tmp_path, prefetch_depth, native_map):
+    store = _store(tmp_path, native_map)
     state = _state(seed=4)
     _commit(store, state, shards_per_rank=3)
-    loader = CheckpointLoader(store, use_mmap=use_mmap,
-                              prefetch_depth=prefetch_depth)
+    loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
     states = loader.restore(RestoreSpec.full(tag="ckpt"))
     for key, array in state["model"].items():
         np.testing.assert_array_equal(states[0]["model"][key], array)
@@ -122,19 +127,21 @@ def test_prefetch_depths_load_identical_state(tmp_path, prefetch_depth, use_mmap
 
 @pytest.mark.parametrize("prefetch_depth", [0, 4])
 def test_prefetch_on_object_store(prefetch_depth):
-    """The object store has no mmap; the prefetch stage overlaps whole-object
-    GETs instead, with identical results."""
+    """The object store has no file to map; the prefetch stage overlaps
+    whole-object GETs instead, with identical results."""
     store = ObjectStore()
     state = _state(seed=5)
     _commit(store, state, shards_per_rank=3)
     loader = CheckpointLoader(store, prefetch_depth=prefetch_depth)
-    assert loader.use_mmap is False
+    before = store.get_count
     loaded = loader.restore(RestoreSpec.of_rank(0, tag="ckpt"))
     np.testing.assert_array_equal(loaded["model"]["w5"], state["model"]["w5"])
+    assert store.get_count - before == 1 + 3  # the manifest, then one GET per part
 
 
 def test_prefetch_overlaps_across_ranks_in_load_all(tmp_path):
-    """load_all prefetches across the whole shard-set of every rank."""
+    """An all-ranks restore prefetches across the whole shard-set of every
+    rank."""
     store = FileStore(tmp_path)
     coordinator = TwoPhaseCommitCoordinator(2, store)
     policy = CheckpointPolicy(host_buffer_size=16 << 20, shards_per_rank=2)
@@ -171,21 +178,21 @@ def test_negative_prefetch_depth_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _corrupt_one_payload_byte(store, tag):
-    victim = sorted(store.checkpoint_dir(tag).glob("*.shard"))[0]
-    raw = bytearray(victim.read_bytes())
+    victim = sorted(record["name"] for record in store.read_manifest(tag)["shards"])[0]
+    raw = bytearray(store.read_shard(tag, victim))
     raw[-1] ^= 0xFF  # payload corruption: size unchanged, CRC broken
-    victim.write_bytes(bytes(raw))
+    store.write_shard(tag, victim, [bytes(raw)])
 
 
-@pytest.mark.parametrize("use_mmap", [True, False])
-def test_load_all_validate_false_skips_per_shard_checks(tmp_path, use_mmap):
+@pytest.mark.parametrize("native_map", [True, False])
+def test_load_all_validate_false_skips_per_shard_checks(tmp_path, native_map):
     """The docstring always promised it; now the flag really skips the
     per-shard size/CRC pass instead of validating anyway."""
-    store = FileStore(tmp_path)
+    store = _store(tmp_path, native_map)
     _commit(store, _state(seed=6), shards_per_rank=2)
     _corrupt_one_payload_byte(store, "ckpt")
 
-    loader = CheckpointLoader(store, use_mmap=use_mmap)
+    loader = CheckpointLoader(store)
     with pytest.raises(ConsistencyError):
         loader.restore(RestoreSpec.full(tag="ckpt", validate=True))
     # validate=False trusts the medium: the corrupted payload loads fine.

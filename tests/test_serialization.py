@@ -114,6 +114,23 @@ def test_deserialize_preserves_dtypes_and_shapes():
     assert rebuilt["b"].dtype == np.int64 and rebuilt["b"].shape == (7,)
 
 
+def test_deserialize_copies_large_states_from_several_threads(monkeypatch):
+    """The multi-threaded copy of a large state returns the same writable,
+    independent arrays, in skeleton order, as the one-thread copy."""
+    import repro.serialization.reader as reader
+
+    monkeypatch.setattr(reader, "_COPY_BYTES_PER_THREAD", 1)
+    monkeypatch.setattr(reader.os, "cpu_count", lambda: 3)
+    state = {f"t{index}": np.arange(size, dtype=np.float64) * (index + 1)
+             for index, size in enumerate((7, 1, 300, 2, 50, 9, 1000))}
+    raw = serialize_state(state)
+    rebuilt = deserialize_state(raw)
+    assert list(rebuilt) == list(state)
+    for key, array in state.items():
+        np.testing.assert_array_equal(rebuilt[key], array)
+        assert rebuilt[key].flags.writeable and rebuilt[key].base is None
+
+
 def test_deserialize_truncated_payload_rejected():
     raw = serialize_state(_state())
     with pytest.raises(SerializationError):

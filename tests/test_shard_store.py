@@ -1,4 +1,4 @@
-"""Tests for the pluggable shard-store layer: the ShardStore protocol and
+"""Tests for the pluggable shard-store layer: the ShardStore base class and
 registry, the in-memory ObjectStore backend, and the FileStore durability
 fixes (directory fsync after rename, prune-vs-writer race)."""
 
@@ -9,17 +9,18 @@ import pytest
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import (
     STORE_NAMES,
+    BufferedShardWriter,
     FileStore,
+    HeapShard,
+    MappedShard,
     ObjectStore,
     ShardStore,
+    ShardWriter,
     available_stores,
     canonical_store_name,
     create_store,
     publish_file,
     register_store,
-    supports_mmap,
-    supports_ranged_reads,
-    supports_shard_writer,
 )
 from repro.restart import CheckpointLoader
 
@@ -68,13 +69,79 @@ def test_register_custom_store(tmp_path):
 
 
 def test_capability_detection(tmp_path):
+    """Every backend has the one write path and the one read path; only the
+    file store overrides the buffered defaults with native pwrite/mmap."""
     file_store = FileStore(tmp_path)
     object_store = ObjectStore()
-    assert supports_shard_writer(file_store) and supports_mmap(file_store)
-    # The object store has nothing to map but does stage parallel pwrites.
-    assert supports_shard_writer(object_store) and not supports_mmap(object_store)
-    # Both backends serve sub-shard ranges (pread / ranged GET).
-    assert supports_ranged_reads(file_store) and supports_ranged_reads(object_store)
+    for store in (file_store, object_store):
+        store.write_shard("ckpt-1", "rank0", [b"0123456789"])
+        assert store.read_shard_range("ckpt-1", "rank0", 2, 3) == b"234"
+    with file_store.open_shard_mmap("ckpt-1", "rank0") as mapped:
+        assert isinstance(mapped, MappedShard)
+    with object_store.open_shard_mmap("ckpt-1", "rank0") as heap:
+        assert isinstance(heap, HeapShard) and bytes(heap.data) == b"0123456789"
+    assert isinstance(file_store.create_shard_writer("ckpt-1", "w", 4), ShardWriter)
+    writer = object_store.create_shard_writer("ckpt-1", "w", 4)
+    assert isinstance(writer, BufferedShardWriter)
+    writer.abort()
+
+
+class _MinimalStore(ShardStore):
+    """A backend implementing only the abstract primitives."""
+
+    def __init__(self):
+        self.shards, self.manifests, self.writes = {}, {}, 0
+
+    def write_shard(self, tag, shard_name, chunks):
+        self.writes += 1
+        self.shards[(tag, shard_name)] = b"".join(bytes(chunk) for chunk in chunks)
+
+    def write_manifest(self, tag, manifest):
+        self.manifests[tag] = manifest
+
+    def read_shard(self, tag, shard_name):
+        return self.shards[(tag, shard_name)]
+
+    def read_shard_range(self, tag, shard_name, offset, length):
+        return self.read_shard(tag, shard_name)[offset:offset + length]
+
+    def read_manifest(self, tag):
+        return self.manifests[tag]
+
+    def shard_size(self, tag, shard_name):
+        return len(self.shards[(tag, shard_name)])
+
+    def list_checkpoints(self):
+        return sorted({tag for tag, _name in self.shards})
+
+    def list_committed_checkpoints(self):
+        return sorted(self.manifests)
+
+    def delete_checkpoint(self, tag):
+        self.shards = {key: value for key, value in self.shards.items()
+                       if key[0] != tag}
+        self.manifests.pop(tag, None)
+
+    def total_bytes(self, tag):
+        return sum(len(value) for key, value in self.shards.items() if key[0] == tag)
+
+
+def test_base_class_defaults_run_over_the_primitives():
+    """The inherited writer publishes with exactly one write_shard at commit,
+    and the inherited restore buffer is one read_shard on the heap."""
+    store = _MinimalStore()
+    with store.create_shard_writer("ckpt-1", "rank0", 8) as writer:
+        writer.pwrite(4, b"wxyz")
+        writer.pwrite(0, b"abcd")
+        assert store.writes == 0  # nothing visible before commit
+        writer.commit()
+    assert store.writes == 1 and store.read_shard("ckpt-1", "rank0") == b"abcdwxyz"
+    with store.open_shard_mmap("ckpt-1", "rank0") as buffer:
+        assert isinstance(buffer, HeapShard) and len(buffer) == 8
+        assert bytes(buffer.data) == b"abcdwxyz"
+    assert buffer.data == b""
+    with pytest.raises(TypeError):
+        ShardStore()  # the primitives are abstract
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for Resource (counting semaphore) and FairShareLink (bandwidth sharing)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
@@ -234,6 +234,7 @@ def test_estimate_duration_uncontended():
     sizes=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=8),
     capacity=st.floats(min_value=1.0, max_value=1e4),
 )
+@example(sizes=[2.0, 2.00001], capacity=1.0)  # ended early under a 1e-3-byte epsilon
 def test_property_all_bytes_delivered_and_capacity_respected(sizes, capacity):
     """All flows complete, total bytes are conserved, and the makespan is at
     least the work/capacity lower bound."""

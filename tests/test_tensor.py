@@ -178,6 +178,33 @@ def test_flatten_preserves_tuples_and_lists():
     assert rebuilt["pair"][1][1] == "tail"
 
 
+def test_flatten_and_unflatten_leave_no_reference_cycles():
+    """Arrays passed through flatten/unflatten are freed by reference
+    counting alone: a saved or restored state never waits on cyclic GC."""
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        saved = np.ones(8)
+        alive = weakref.ref(saved)
+        flattened = flatten_state_dict({"model": {"w": saved}, "step": 1})
+        del flattened, saved
+        assert alive() is None
+
+        skeleton = flatten_state_dict({"model": {"w": np.ones(8)}}).skeleton
+        loaded = np.zeros(8)
+        alive = weakref.ref(loaded)
+        state = unflatten_state_dict(skeleton, [loaded])
+        assert state["model"]["w"] is loaded
+        del state, loaded
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_unflatten_with_missing_payloads_fails():
     flattened = flatten_state_dict({"a": np.zeros(2), "b": np.zeros(2)})
     with pytest.raises(SerializationError):

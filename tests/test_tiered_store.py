@@ -17,12 +17,11 @@ from repro.io import (
     FileStore,
     ObjectStore,
     ShardStore,
+    HeapShard,
+    MappedShard,
     TieredStore,
     create_store,
     make_tiered_storage,
-    supports_mmap,
-    supports_ranged_reads,
-    supports_shard_writer,
 )
 from repro.io.tiered import TIER_INDEX_NAME
 from repro.restart import CheckpointLoader, RestoreSpec
@@ -92,10 +91,6 @@ def test_create_store_tiered_composes_backends(tmp_path):
     assert isinstance(store.fast, FileStore)
     assert isinstance(store.slow, ObjectStore)
     assert store.fast.root == tmp_path / "t" / "fast"
-    # Every optional capability is present (fast tier is a FileStore).
-    assert supports_shard_writer(store)
-    assert supports_mmap(store)
-    assert supports_ranged_reads(store)
 
 
 def test_create_store_tiered_custom_tiers(tmp_path):
@@ -221,7 +216,7 @@ def test_eviction_watermark_zero_evicts_all_replicated(tmp_path):
 
 def test_restore_from_slow_tier_after_local_loss_is_byte_identical(tmp_path):
     """The acceptance criterion: delete the fast tier's copy of a REPLICATED
-    checkpoint and load_all restores byte-identical state from the slow tier."""
+    checkpoint and an all-ranks restore is byte-identical from the slow tier."""
     store = _tiered(tmp_path)
     _save(store, ["ckpt-1"])
     store.wait_drained()
@@ -229,8 +224,12 @@ def test_restore_from_slow_tier_after_local_loss_is_byte_identical(tmp_path):
 
     store.fast.delete_checkpoint("ckpt-1")  # simulated local loss
     assert store.list_committed_checkpoints() == ["ckpt-1"]
-    for use_mmap in (True, False):
-        restored = CheckpointLoader(store, use_mmap=use_mmap).restore(RestoreSpec.full(tag="ckpt-1"))
+    # First from the slow object tier (a heap buffer, promoted on read), then
+    # from the re-warmed fast file tier (a memory map).
+    for kind in (HeapShard, MappedShard):
+        with store.open_shard_mmap("ckpt-1", "rank0") as buffer:
+            assert isinstance(buffer, kind)
+        restored = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
         for key in ("model", "optimizer"):
             for name, array in reference[0][key].items():
                 np.testing.assert_array_equal(array, restored[0][key][name])
@@ -461,6 +460,44 @@ def test_tier_index_sidecar_records_residency(tmp_path):
     assert TIER_INDEX_NAME not in store.fast.list_checkpoints()
 
 
+def test_sidecar_is_never_overwritten_by_an_older_snapshot(tmp_path, monkeypatch):
+    """Two concurrent sidecar rewrites land in snapshot order: a writer that
+    snapshotted residency first cannot publish over a newer snapshot."""
+    import time
+
+    import repro.io.tiered as tiered_module
+
+    store = _tiered(tmp_path)
+    _save(store, ["ckpt-1"])
+    store.wait_drained()
+    publish = tiered_module.publish_file
+    stalled, release = threading.Event(), threading.Event()
+
+    def slow_first_publish(*args, **kwargs):
+        if not stalled.is_set():
+            stalled.set()
+            release.wait(10.0)
+        return publish(*args, **kwargs)
+
+    monkeypatch.setattr(tiered_module, "publish_file", slow_first_publish)
+    job = store._jobs["ckpt-1"]
+    job.state = DrainState.DRAINING
+    older = threading.Thread(target=store._persist_index)
+    older.start()
+    assert stalled.wait(10.0)  # the older snapshot is taken and in flight
+    job.state = DrainState.REPLICATED
+    newer = threading.Thread(target=store._persist_index)
+    newer.start()
+    time.sleep(0.05)
+    release.set()
+    older.join(10.0)
+    newer.join(10.0)
+    assert not older.is_alive() and not newer.is_alive()
+    sidecar = json.loads((tmp_path / "fast" / TIER_INDEX_NAME).read_text("utf-8"))
+    assert sidecar["ckpt-1"]["state"] == "replicated"
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # Ranged reads (satellite): pread / ranged GET / nearest tier
 # ---------------------------------------------------------------------------
@@ -498,29 +535,22 @@ def test_tiered_read_shard_range_falls_back_to_slow(tmp_path):
     store.close()
 
 
-def test_loader_uses_ranged_fetches_on_the_slow_tier(tmp_path):
-    """With a small range-fetch chunk the non-mmap restore streams sub-shard
-    ranges (several GETs per part) instead of whole objects, and still
-    reassembles byte-identical state."""
-    store = _tiered(tmp_path)
+def test_drain_copies_parts_in_ranged_reads(tmp_path, monkeypatch):
+    """The drain streams each part out of the source level in bounded
+    ranged reads (several GETs per part from an object fast tier) and lands
+    byte-identical shards on the next level."""
+    import repro.io.tiered as tiered_module
+
+    monkeypatch.setattr(tiered_module, "_DRAIN_CHUNK_BYTES", 1024)
+    store = create_store("tiered", root=tmp_path, fast_store="object",
+                         slow_store="file", keep_local_latest=None)
+    before = store.fast.get_count
     _save(store, ["ckpt-1"])
-    store.wait_drained()
-    reference = CheckpointLoader(store).restore(RestoreSpec.full(tag="ckpt-1"))
-    store.fast.delete_checkpoint("ckpt-1")
-
-    slow = store.slow
-    before = slow.get_count
-    loader = CheckpointLoader(store, use_mmap=False, range_fetch_bytes=1024)
-    restored = loader.restore(RestoreSpec.full(tag="ckpt-1"))
-    nbytes = slow.total_bytes("ckpt-1")
-    assert slow.get_count - before >= nbytes // 1024  # many ranged GETs
-    np.testing.assert_array_equal(reference[0]["model"]["w"],
-                                  restored[0]["model"]["w"])
-
-    # range_fetch_bytes=0 disables ranged fetching: whole-object GETs again.
-    before = slow.get_count
-    CheckpointLoader(store, use_mmap=False, range_fetch_bytes=0).restore(RestoreSpec.full(tag="ckpt-1"))
-    assert slow.get_count - before < nbytes // 1024
+    store.wait_drained(timeout=30.0)
+    nbytes = store.fast.total_bytes("ckpt-1")
+    assert store.fast.get_count - before >= nbytes // 1024
+    assert (store.slow.read_shard("ckpt-1", "rank0")
+            == store.fast.read_shard("ckpt-1", "rank0"))
     store.close()
 
 
