@@ -18,7 +18,10 @@ checkpointing deployments see, driven by a :class:`FaultPlan`:
 * **process kill between shard-commit and manifest-publish** — the Nth
   manifest publish raises :class:`InjectedProcessKill` *before* delegating,
   leaving every shard durable but the checkpoint uncommitted, the classic
-  kill-9-during-commit tear.
+  kill-9-during-commit tear;
+* **torn and corrupted reads** — a shard read comes back short, or the same
+  length with one byte flipped (bit rot, a bad NIC checksum offload); only
+  the CRC32 check catches the latter.
 
 Every injection decision is **deterministic in the plan's seed**: per-key
 decisions hash ``(seed, operation, key, occurrence)`` so the injected fault
@@ -84,6 +87,9 @@ class FaultPlan:
     torn_read_prob: float = 0.0
     #: Fraction of the shard's bytes that survive a torn read.
     torn_read_keep_fraction: float = 0.5
+    #: Probability that a shard read returns the full length with one byte
+    #: flipped, at a position drawn from the same seeded roll.
+    corrupt_read_prob: float = 0.0
     #: Per-(operation, key) failure budget: after this many injected errors
     #: the operation succeeds (a transient fault).  ``None`` = persistent.
     max_failures_per_op: Optional[int] = None
@@ -97,7 +103,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in ("torn_write_prob", "write_error_prob", "read_error_prob",
-                     "torn_read_prob"):
+                     "torn_read_prob", "corrupt_read_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"FaultPlan.{name} must be in [0, 1]")
@@ -286,26 +292,39 @@ class FaultyStore(ShardStore):
         return self._inner.write_manifest(tag, manifest)
 
     # -- reads ----------------------------------------------------------------
-    def _maybe_tear_read(self, op: str, key: str, occurrence: int,
-                         op_index: int, payload: bytes) -> bytes:
-        """Truncate a read payload per the torn-read roll (shard reads only)."""
+    def _damage_read(self, op: str, key: str, occurrence: int,
+                     op_index: int, payload: bytes) -> bytes:
+        """Tear, then corrupt, a read payload per the plan's rolls (shard
+        reads only)."""
         plan = self.plan
-        if (not self._enabled or plan.torn_read_prob <= 0.0
-                or plan.roll("torn_read", key, occurrence) >= plan.torn_read_prob):
+        if not self._enabled:
             return payload
-        keep = int(len(payload) * plan.torn_read_keep_fraction)
-        with self._lock:
-            self._record(op, key, "torn_read", op_index,
-                         detail=f"kept {keep}/{len(payload)} bytes")
-        return payload[:keep]
+        if (plan.torn_read_prob > 0.0
+                and plan.roll("torn_read", key, occurrence) < plan.torn_read_prob):
+            keep = int(len(payload) * plan.torn_read_keep_fraction)
+            with self._lock:
+                self._record(op, key, "torn_read", op_index,
+                             detail=f"kept {keep}/{len(payload)} bytes")
+            payload = payload[:keep]
+        if (payload and plan.corrupt_read_prob > 0.0
+                and plan.roll("corrupt_read", key, occurrence)
+                < plan.corrupt_read_prob):
+            at = int(plan.roll("corrupt_read_at", key, occurrence) * len(payload))
+            damaged = bytearray(payload)
+            damaged[at] ^= 0xFF
+            with self._lock:
+                self._record(op, key, "corrupt_read", op_index,
+                             detail=f"flipped byte {at}/{len(payload)}")
+            payload = bytes(damaged)
+        return payload
 
     def read_shard(self, tag: str, shard_name: str) -> bytes:
         key = f"{tag}/{shard_name}"
         op_index, occurrence = self._gate("read_shard", key,
                                           self.plan.read_error_prob)
         payload = self._inner.read_shard(tag, shard_name)
-        return self._maybe_tear_read("read_shard", key, occurrence, op_index,
-                                     payload)
+        return self._damage_read("read_shard", key, occurrence, op_index,
+                                 payload)
 
     def read_shard_range(self, tag: str, shard_name: str,
                          offset: int, length: int) -> bytes:
@@ -313,8 +332,8 @@ class FaultyStore(ShardStore):
         op_index, occurrence = self._gate("read_shard_range", key,
                                           self.plan.read_error_prob)
         payload = self._inner.read_shard_range(tag, shard_name, offset, length)
-        return self._maybe_tear_read("read_shard_range", key, occurrence,
-                                     op_index, payload)
+        return self._damage_read("read_shard_range", key, occurrence,
+                                 op_index, payload)
 
     def read_manifest(self, tag: str) -> Dict:
         self._gate("read_manifest", tag, self.plan.read_error_prob)

@@ -79,6 +79,7 @@ from ..config import (
 )
 from ..exceptions import CheckpointError
 from ..logging_utils import get_logger
+from ..serialization import checksum_stream
 from ..units import parse_bytes
 from .filestore import publish_file
 from .store import HeapShard, ShardStore, WriteReceipt
@@ -923,8 +924,9 @@ class TierChain(ShardStore):
         promotion failure on one level is logged, the remaining levels are
         still tried, and the read that triggered it never fails.
 
-        The payload is validated against the hit level's manifest *before*
-        it touches any shallower level: a torn deep read must surface to the
+        The payload is validated against the hit level's manifest record —
+        size, then CRC32 when the record has one — *before* it touches any
+        shallower level: a torn or corrupted deep read must surface to the
         loader's checksum pass, never be cached where later reads (including
         post-incident clean ones) would keep serving it.
         """
@@ -939,14 +941,19 @@ class TierChain(ShardStore):
             logger.warning("not promoting %s/%s: no manifest on level %s: %s",
                            tag, shard_name, self._names[hit_index], exc)
             return
-        expected = next(
-            (int(record["nbytes"]) for record in manifest.get("shards", [])
-             if str(record["name"]) == shard_name), None)
+        record = next((record for record in manifest.get("shards", [])
+                       if str(record["name"]) == shard_name), None)
+        expected = None if record is None else int(record["nbytes"])
         if expected is None or len(payload) != expected:
             logger.warning(
                 "not promoting %s/%s: payload is %d bytes, manifest says %s "
                 "(torn deep-level read?)", tag, shard_name, len(payload),
                 expected)
+            return
+        checksum = record.get("checksum")
+        if checksum is not None and checksum_stream(payload) != int(checksum):
+            logger.warning("not promoting %s/%s: payload fails its checksum "
+                           "(corrupted deep-level read?)", tag, shard_name)
             return
         for target in range(hit_index - 1, -1, -1):
             try:

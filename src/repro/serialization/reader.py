@@ -13,10 +13,8 @@ of the whole file.
 
 from __future__ import annotations
 
-import os
 import pickle
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 from typing import Any, List, Sequence
 
@@ -25,10 +23,7 @@ import numpy as np
 from ..exceptions import SerializationError
 from ..tensor import unflatten_state_dict
 from .header import decode_preamble
-
-#: Bytes of copying that justify one more copy thread (a thread costs about
-#: a tenth of a millisecond; copying this much takes several).
-_COPY_BYTES_PER_THREAD = 32 * 1024 * 1024
+from .sections import extra_threads, map_sections, section_count
 
 
 def _materialize(views: List[np.ndarray]) -> List[np.ndarray]:
@@ -36,19 +31,20 @@ def _materialize(views: List[np.ndarray]) -> List[np.ndarray]:
 
     The copies land in fresh memory, so page faults rather than memcpy
     dominate them; large sets are split into contiguous runs of about equal
-    bytes, copied from one thread per core (numpy releases the GIL for large
-    copies).
+    bytes, copied from one thread per usable core (numpy releases the GIL
+    for large copies), by the same section rule as the CRC32 pass
+    (:mod:`repro.serialization.sections`).
     """
     ends = list(accumulate(view.nbytes for view in views))
     total = ends[-1] if ends else 0
-    threads = min(os.cpu_count() or 1, len(views), total // _COPY_BYTES_PER_THREAD)
-    if threads < 2:
-        return [view.copy() for view in views]
-    cuts = [0] + [bisect_left(ends, total * k / threads) + 1
-                  for k in range(1, threads)] + [len(views)]
-    runs = [views[start:stop] for start, stop in zip(cuts, cuts[1:])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        copied = list(pool.map(lambda run: [view.copy() for view in run], runs))
+    with extra_threads(min(section_count(total), len(views)) - 1) as extra:
+        if not extra:
+            return [view.copy() for view in views]
+        threads = extra + 1
+        cuts = [0] + [bisect_left(ends, total * k / threads) + 1
+                      for k in range(1, threads)] + [len(views)]
+        runs = [views[start:stop] for start, stop in zip(cuts, cuts[1:])]
+        copied = map_sections(lambda run: [view.copy() for view in run], runs)
     return [array for run in copied for array in run]
 
 

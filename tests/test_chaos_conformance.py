@@ -205,6 +205,7 @@ def test_chaos_never_silently_corrupts(engine_name, store_backend, scenario,
 #: ``outage_start_op`` is relative to the op counter at restore start.
 RESTORE_SCENARIOS = {
     "torn_read": dict(torn_read_prob=0.45, torn_read_keep_fraction=0.5),
+    "corrupt_read": dict(corrupt_read_prob=0.45),
     "read_errors": dict(read_error_prob=0.45, max_failures_per_op=2),
     "read_outage": dict(outage_start_op=2, outage_ops=5),
 }
@@ -423,3 +424,69 @@ def test_chaos_mid_chain_read_outage_falls_through(engine_name, tmp_path):
                                       want["optimizer"]["m"])
     finally:
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# Same-length corruption: only the CRC32 check can catch it
+# ---------------------------------------------------------------------------
+
+def _assert_same_state(state, want):
+    np.testing.assert_array_equal(state["model"]["w"], want["model"]["w"])
+    np.testing.assert_array_equal(state["model"]["b"], want["model"]["b"])
+    np.testing.assert_array_equal(state["optimizer"]["m"], want["optimizer"]["m"])
+
+
+def test_chaos_corrupt_read_of_heap_buffer_is_loud(engine_name, tmp_path):
+    """Every shard read flips one byte but keeps its length, so the size
+    check passes: the heap-buffer restore must fail its CRC32 check with
+    ConsistencyError, and a clean retry restores bit-exactly."""
+    seed = config_seed(engine_name, "object", "corrupt_read_heap")
+    store = FaultyStore(ObjectStore(), FaultPlan(seed=seed))
+    want = _state(seed=3)
+    with create_real_engine(engine_name, store,
+                            policy=CheckpointPolicy(host_buffer_size=8 << 20)) as engine:
+        engine.save(want, tag="ckpt-1", iteration=1)
+        engine.wait_all(timeout=30.0)
+    store.plan = FaultPlan(seed=seed, corrupt_read_prob=1.0)
+    loader = CheckpointLoader(store)
+    with pytest.raises(ConsistencyError):
+        loader.restore(RestoreSpec.full(tag="ckpt-1"))
+    assert any(entry["kind"] == "corrupt_read" for entry in store.fault_log())
+    with store.suspend():
+        _assert_same_state(loader.restore(RestoreSpec.full(tag="ckpt-1"))[0], want)
+
+
+def test_chaos_corrupt_deep_read_never_poisons_level_zero(engine_name, tmp_path):
+    """Level 0 has lost the checkpoint and every deep read is corrupted:
+    the restore fails loudly and nothing is promoted into level 0, so once
+    the deep level reads clean again the checkpoint restores (and promotes)."""
+    from repro.io import TierChain, TierLevel
+
+    seed = config_seed(engine_name, "chain2", "corrupt_deep_read")
+    deep = FaultyStore(ObjectStore(), FaultPlan(seed=seed))
+    store = TierChain([
+        TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
+        TierLevel(deep, name="object"),
+    ], keep_local_latest=None, drain_backoff_s=0.01)
+    want = _state(seed=4)
+    try:
+        with create_real_engine(engine_name, store,
+                                policy=CheckpointPolicy(host_buffer_size=8 << 20)) as engine:
+            engine.save(want, tag="ckpt-1", iteration=1)
+            engine.wait_all(timeout=30.0)
+        store.wait_drained(timeout=30.0)
+        level0 = store.levels[0].store
+        level0.delete_checkpoint("ckpt-1")
+
+        deep.plan = FaultPlan(seed=seed, corrupt_read_prob=1.0)
+        loader = CheckpointLoader(store)
+        with pytest.raises(ConsistencyError):
+            loader.restore(RestoreSpec.full(tag="ckpt-1"))
+        assert level0.list_committed_checkpoints() == [], (
+            f"corrupted deep read was promoted into level 0 [config seed {seed}]")
+
+        deep.plan = FaultPlan(seed=seed)
+        _assert_same_state(loader.restore(RestoreSpec.full(tag="ckpt-1"))[0], want)
+        assert level0.list_committed_checkpoints() == ["ckpt-1"]
+    finally:
+        store.close()

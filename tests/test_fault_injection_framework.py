@@ -8,6 +8,8 @@ shard writer and restore buffer that keep every byte inside the fault
 filter, and the ``faulty`` entry in the store registry.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,8 @@ def test_plan_validates_fields():
     with pytest.raises(ConfigurationError):
         FaultPlan(torn_read_keep_fraction=1.0)
     with pytest.raises(ConfigurationError):
+        FaultPlan(corrupt_read_prob=1.5)
+    with pytest.raises(ConfigurationError):
         FaultPlan(max_failures_per_op=0)
     with pytest.raises(ConfigurationError):
         FaultPlan(outage_ops=-1)
@@ -66,9 +70,19 @@ def test_plan_validates_fields():
 def test_plan_json_round_trip():
     plan = FaultPlan(seed=42, torn_write_prob=0.25, write_error_prob=0.1,
                      torn_read_prob=0.2, torn_read_keep_fraction=0.75,
+                     corrupt_read_prob=0.3,
                      max_failures_per_op=2, outage_start_op=7, outage_ops=3,
                      kill_on_manifest=1)
     assert FaultPlan.from_json(plan.to_json()) == plan
+
+
+def test_plan_json_without_newer_fields_still_loads():
+    """A plan dumped before a fault mode existed replays unchanged: the new
+    field defaults to injecting nothing."""
+    old = json.loads(FaultPlan(seed=3, torn_read_prob=0.5).to_json())
+    del old["corrupt_read_prob"]
+    assert FaultPlan.from_json(json.dumps(old)) == FaultPlan(seed=3,
+                                                             torn_read_prob=0.5)
 
 
 def test_plan_roll_is_deterministic_and_seed_sensitive():
@@ -144,6 +158,28 @@ def test_torn_read_covers_ranged_reads(tmp_path):
         store.write_shard("ck", "rank0", [b"0123456789"])
     assert store.read_shard_range("ck", "rank0", 0, 8) == b"0123"
     assert any(entry["kind"] == "torn_read" for entry in store.fault_log())
+
+
+def test_corrupt_read_flips_one_byte_deterministically(tmp_path):
+    """A corrupted read keeps the payload's length and flips exactly one
+    byte, at a position fixed by the seed; ranged reads are covered too."""
+    payload = bytes(range(256)) * 4
+
+    def read_twice(root):
+        store = FaultyStore(FileStore(root), FaultPlan(seed=21,
+                                                       corrupt_read_prob=1.0))
+        with store.suspend():
+            store.write_shard("ck", "rank0", [payload])
+        reads = [store.read_shard("ck", "rank0"),
+                 store.read_shard_range("ck", "rank0", 100, 50)]
+        return reads, store.fault_log()
+
+    (whole, ranged), log = read_twice(tmp_path / "a")
+    assert len(whole) == len(payload) and len(ranged) == 50
+    assert sum(a != b for a, b in zip(whole, payload)) == 1
+    assert sum(a != b for a, b in zip(ranged, payload[100:150])) == 1
+    assert [entry["kind"] for entry in log] == ["corrupt_read", "corrupt_read"]
+    assert read_twice(tmp_path / "b") == ([whole, ranged], log)
 
 
 def test_transient_error_budget_then_success(tmp_path):
@@ -261,18 +297,21 @@ def test_torn_write_on_parallel_flush_path_fails_restore(tmp_path, inner_name):
         CheckpointLoader(store).restore(RestoreSpec.full(tag="torn"))
 
 
-@pytest.mark.parametrize("fault", ["read_error", "torn_read"])
+@pytest.mark.parametrize("fault", ["read_error", "torn_read", "corrupt_read"])
 def test_read_fault_through_restore_buffer_is_loud(tmp_path, fault):
     """A read fault behind open_shard_mmap surfaces as CheckpointError (an
-    I/O error) or ConsistencyError (a short read), never as a state."""
+    I/O error) or ConsistencyError (a short or corrupted read), never as a
+    state."""
     store = FaultyStore(FileStore(tmp_path))
     _save_one(store, "ok")
     if fault == "read_error":
         # Op 0 of the restore reads the manifest; op 1 is the shard read.
         store.plan = FaultPlan(seed=18, outage_start_op=store.ops_so_far() + 1,
                                outage_ops=1)
-    else:
+    elif fault == "torn_read":
         store.plan = FaultPlan(seed=18, torn_read_prob=1.0)
+    else:
+        store.plan = FaultPlan(seed=18, corrupt_read_prob=1.0)
     expected = CheckpointError if fault == "read_error" else ConsistencyError
     with pytest.raises(expected):
         CheckpointLoader(store).restore(RestoreSpec.full(tag="ok"))

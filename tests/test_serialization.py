@@ -117,10 +117,10 @@ def test_deserialize_preserves_dtypes_and_shapes():
 def test_deserialize_copies_large_states_from_several_threads(monkeypatch):
     """The multi-threaded copy of a large state returns the same writable,
     independent arrays, in skeleton order, as the one-thread copy."""
-    import repro.serialization.reader as reader
+    import repro.serialization.sections as sections
 
-    monkeypatch.setattr(reader, "_COPY_BYTES_PER_THREAD", 1)
-    monkeypatch.setattr(reader.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sections, "SECTION_BYTES", 1)
+    monkeypatch.setattr(sections, "usable_cores", lambda: 3)
     state = {f"t{index}": np.arange(size, dtype=np.float64) * (index + 1)
              for index, size in enumerate((7, 1, 300, 2, 50, 9, 1000))}
     raw = serialize_state(state)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import PlatformSpec
 from repro.core import create_real_engine
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError, ConsistencyError
 from repro.io import (
     DrainState,
     FileStore,
@@ -306,6 +306,40 @@ def test_restore_falls_through_and_promotes_every_level_above_hit(tmp_path):
         assert metrics["bytes_promoted"] > 0
     finally:
         reopened.close()
+
+
+def test_corrupt_deep_read_is_never_promoted(tmp_path):
+    """A same-length corrupted deep shard fails the restore loudly and is
+    not cached on level 0: once the deep object is repaired, restores work
+    again (and only then promote)."""
+    deep = ObjectStore()
+    chain = TierChain([
+        TierLevel(FileStore(tmp_path / "nvme"), name="nvme"),
+        TierLevel(deep, name="object"),
+    ], keep_local_latest=None, drain_backoff_s=0.01)
+    try:
+        _save(chain, ["ckpt-1"])
+        chain.wait_drained(timeout=30.0)
+        chain.levels[0].store.delete_checkpoint("ckpt-1")
+        name = deep.read_manifest("ckpt-1")["shards"][0]["name"]
+        clean = deep.read_shard("ckpt-1", name)
+        corrupt = bytearray(clean)
+        corrupt[len(corrupt) // 2] ^= 0xFF
+        deep.write_shard("ckpt-1", name, [bytes(corrupt)])
+
+        loader = CheckpointLoader(chain)
+        with pytest.raises(ConsistencyError):
+            loader.restore(RestoreSpec.full(tag="ckpt-1"))
+        assert chain.levels[0].store.list_committed_checkpoints() == []
+        assert chain.drain_metrics()["promoted_parts"] == 0
+
+        deep.write_shard("ckpt-1", name, [clean])
+        restored = loader.restore(RestoreSpec.full(tag="ckpt-1"))
+        np.testing.assert_array_equal(restored[0]["model"]["w"],
+                                      _state(seed=0)["model"]["w"])
+        assert chain.levels[0].store.list_committed_checkpoints() == ["ckpt-1"]
+    finally:
+        chain.close()
 
 
 def test_restore_from_interior_level_promotes_to_level_zero(tmp_path):
